@@ -19,7 +19,8 @@ print("real widths        : 8 -> 12 for both layers")
 print("dense params       :", dense.param_count())   # 16mn + 4n = 108
 print("hyperdense params  :", hyper.param_count())   # 4mn + 4n = 36
 
-x = rng.normal(size=(5, 8))  # 5 time steps, weights shared across time
+# a batch of one window of 5 time steps; weights are shared across time
+x = rng.normal(size=(1, 5, 8))
 y = hyper.forward(x)
 print("\nsequence input", x.shape, "-> output", y.shape)
 

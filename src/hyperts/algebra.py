@@ -98,8 +98,10 @@ def hadd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def left_mul_matrix(w: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Real 4x4 matrix M of left multiplication by w: M @ vec(x) = vec(w * x).
 
-    M[d, q] = sum_p w_p * c[p, q, d]. This is the building block used to
-    vectorize hypercomplex dense layers and to derive their gradients.
+    M[d, q] = sum_p w_p * c[p, q, d]. ``w`` may carry leading axes
+    ([..., 4] -> [..., 4, 4]), one matrix per element; HyperDense builds its
+    block weight matrix this way, so this is the only place the forward map
+    contracts the structure constants.
     """
     w = np.asarray(w, dtype=np.float64)
-    return np.einsum("p,pqd->dq", w, table)
+    return np.einsum("...p,pqd->...dq", w, table)

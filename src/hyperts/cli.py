@@ -10,6 +10,7 @@ bounded by --workers or the HYPERTS_WORKERS environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -151,13 +152,9 @@ def run_cell(data_dir, out_dir, kind: str, window: int, span: int,
     plan = split(dataset, cv_fraction=0.8, folds=folds)
 
     grid = Grid.default(kind, algebras=algebras)
-    grid = Grid(kind=grid.kind,
-                sizes=_restrict(grid.sizes, tuple(sizes or ())),
-                algebras=grid.algebras,
-                dense_units=_restrict(grid.dense_units,
-                                      tuple(dense_units or ())),
-                n_dense1=grid.n_dense1, n_dense2=grid.n_dense2,
-                activations=grid.activations)
+    grid = dataclasses.replace(
+        grid, sizes=_restrict(grid.sizes, tuple(sizes or ())),
+        dense_units=_restrict(grid.dense_units, tuple(dense_units or ())))
     specs = enumerate_specs(grid, window, span, seed)
     if max_configs is not None:
         specs = specs[:max_configs]

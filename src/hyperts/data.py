@@ -193,6 +193,8 @@ def split(dataset: WindowedDataset, cv_fraction: float = 0.8,
     block."""
     if not 0.0 < cv_fraction < 1.0:
         raise ValueError(f"cv_fraction must be in (0, 1), got {cv_fraction}")
+    if folds < 2:
+        raise ValueError(f"folds must be >= 2, got {folds}")
     n = len(dataset)
     if n < folds:
         raise ValueError(f"{n} samples < {folds} folds")

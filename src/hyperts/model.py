@@ -21,8 +21,10 @@ from .nn import (Activation, Conv1D, Dense, Dropout, Flatten, HyperDense,
 CLASS_KINDS = ("cnn", "lstm", "hyper")
 
 INPUT_CHANNELS = 4
-DEFAULT_CONV_KERNEL = 3
-DEFAULT_POOL_SIZE = 2
+CONV_KERNEL = 3
+POOL_SIZE = 2
+CONV_ACTIVATION = Activation.RELU
+HYPER_ACTIVATION = Activation.LINEAR
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,13 +110,17 @@ class ModelSpec:
 
 
 class Model:
-    """An assembled layer stack with uniform forward/backward."""
+    """An assembled layer stack with uniform forward/backward.
+
+    The layers take batches only; ``forward`` and ``backward`` also accept a
+    single window (and its 1-D output gradient) by lifting it to a batch of
+    one and returning row 0.
+    """
 
     def __init__(self, spec: ModelSpec, layers: list[Layer]):
         self.spec = spec
         self.layers = layers
         self.layer_ids = [f"{i:02d}_{lyr.name}" for i, lyr in enumerate(layers)]
-        self._forward_done = False
 
     def param_count(self) -> int:
         return sum(lyr.param_count() for lyr in self.layers)
@@ -132,21 +138,21 @@ class Model:
             raise ShapeError(
                 f"model expects input [window={expect[0]}, {expect[1]}] or"
                 f" [batch, {expect[0]}, {expect[1]}], got {x.shape}")
-        out = x
+        out = x if x.ndim == 3 else x[None]
         for lyr in self.layers:
             out = lyr.forward(out, training=training)
-        self._forward_done = True
-        return out
+        return out if x.ndim == 3 else out[0]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Backpropagate a loss gradient; fills every layer's grads and
         returns the gradient with respect to the model input."""
-        if not self._forward_done:
-            raise RuntimeError("backward called before forward")
         g = np.asarray(grad_out, dtype=np.float64)
+        single = g.ndim == 1
+        if single:
+            g = g[None]
         for lyr in reversed(self.layers):
             g = lyr.backward(g)
-        return g
+        return g[0] if single else g
 
     # -- weight (de)serialization ------------------------------------------
 
@@ -177,22 +183,17 @@ class Model:
             raise ValueError(f"unmatched parameters in document: {list(by_key)}")
 
 
-def min_window(kind: str, conv_kernel: int = DEFAULT_CONV_KERNEL,
-               pool_size: int = DEFAULT_POOL_SIZE) -> int:
-    """Smallest window for which the stack still has >= pool_size time steps
+def min_window(kind: str) -> int:
+    """Smallest window for which the stack still has >= POOL_SIZE time steps
     when pooling is reached."""
     if kind == "cnn":
-        return conv_kernel + pool_size - 1
-    return pool_size
+        return CONV_KERNEL + POOL_SIZE - 1
+    return POOL_SIZE
 
 
-def build(spec: ModelSpec,
-          conv_kernel: int = DEFAULT_CONV_KERNEL,
-          pool_size: int = DEFAULT_POOL_SIZE,
-          conv_activation: Activation = Activation.RELU,
-          hyper_activation: Activation = Activation.LINEAR) -> Model:
+def build(spec: ModelSpec) -> Model:
     """Assemble the testing stack for a spec; deterministic given spec.seed."""
-    need = min_window(spec.kind, conv_kernel, pool_size)
+    need = min_window(spec.kind)
     if spec.window < need:
         raise ShapeError(
             f"window {spec.window} too small for {spec.kind} stack:"
@@ -205,9 +206,9 @@ def build(spec: ModelSpec,
     layers: list[Layer] = []
     t = spec.window
     if spec.kind == "cnn":
-        layers.append(Conv1D(INPUT_CHANNELS, spec.size, conv_kernel,
-                             activation=conv_activation, rng=rng))
-        t = t - conv_kernel + 1
+        layers.append(Conv1D(INPUT_CHANNELS, spec.size, CONV_KERNEL,
+                             activation=CONV_ACTIVATION, rng=rng))
+        t = t - CONV_KERNEL + 1
         f = spec.size
     elif spec.kind == "lstm":
         layers.append(LSTM(INPUT_CHANNELS, spec.size, rng=rng))
@@ -215,13 +216,13 @@ def build(spec: ModelSpec,
     else:
         layers.append(HyperDense(INPUT_CHANNELS // 4, spec.size,
                                  AlgebraKind(spec.algebra),
-                                 activation=hyper_activation, rng=rng))
+                                 activation=HYPER_ACTIVATION, rng=rng))
         f = 4 * spec.size
     if spec.n_dense1:
         layers.append(Dense(f, spec.dense_units, activation=act, rng=rng))
         f = spec.dense_units
-    layers.append(MaxPool1D(pool_size))
-    t = t // pool_size
+    layers.append(MaxPool1D(POOL_SIZE))
+    t = t // POOL_SIZE
     layers.append(Flatten())
     width = t * f
     if spec.n_dense2:

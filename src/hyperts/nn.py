@@ -1,11 +1,13 @@
 """Neural-network layers with explicit forward/backward passes.
 
 All arithmetic is float64. Sequence layers (HyperDense, Conv1D, LSTM,
-MaxPool1D) accept a single sample shaped [time, features] or a batch
-shaped [batch, time, features]; Dense applies along the last axis of any
-input. Every layer caches what its backward pass needs, exposes its
-trainable arrays through ``params()``, and fills ``grads()`` (same shapes)
-during ``backward()``.
+MaxPool1D) take only batches shaped [batch, time, features]; Flatten keeps
+the leading batch axis; Dense and Dropout apply elementwise or along the
+last axis of any input. A single window is lifted to a batch of one by
+``Model.forward``, not by the layers. Every layer caches what its backward
+pass needs. A layer names its trainable arrays once, in ``_param_names``;
+the gradient of attribute ``<name>`` lives at ``d<name>`` (same shape) and
+is filled by ``backward()``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraKind, table_for
+from .algebra import AlgebraKind, left_mul_matrix, table_for
 
 
 class ShapeError(ValueError):
@@ -47,18 +49,31 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 
 class Layer:
-    """Base contract: trainable params, matching grads, forward/backward."""
+    """Base contract: forward/backward over batches, plus trainable arrays
+    named once.
+
+    ``_param_names`` lists the attributes holding the trainable arrays, in
+    serialization order; each has a same-shaped gradient at ``d<name>``.
+    ``params()``, ``grads()``, ``param_names()`` and ``param_count()`` all
+    derive from that one declaration.
+    """
 
     name = "layer"
+    _param_names: tuple[str, ...] = ()
+    _cache = None
+
+    def _zero_grads(self) -> None:
+        for pname in self._param_names:
+            setattr(self, "d" + pname, np.zeros_like(getattr(self, pname)))
 
     def params(self) -> list[np.ndarray]:
-        return []
+        return [getattr(self, pname) for pname in self._param_names]
 
     def grads(self) -> list[np.ndarray]:
-        return []
+        return [getattr(self, "d" + pname) for pname in self._param_names]
 
     def param_names(self) -> list[str]:
-        return []
+        return list(self._param_names)
 
     def param_count(self) -> int:
         return int(sum(p.size for p in self.params()))
@@ -70,18 +85,17 @@ class Layer:
         raise NotImplementedError
 
     def _require_cache(self):
-        if getattr(self, "_cache", None) is None:
+        if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
 
 
-def _as_batch(x: np.ndarray, layer: str) -> tuple[np.ndarray, bool]:
-    """Normalize [time, feat] / [batch, time, feat] input to 3-D."""
+def _as_batch(x: np.ndarray, layer: str) -> np.ndarray:
+    """Return ``x`` as float64, requiring [batch, time, features]."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        return x[None, :, :], True
-    if x.ndim == 3:
-        return x, False
-    raise ShapeError(f"{layer}: expected 2-D or 3-D input, got shape {x.shape}")
+    if x.ndim != 3:
+        raise ShapeError(f"{layer}: expected [batch, time, features] input,"
+                         f" got shape {x.shape}")
+    return x
 
 
 class HyperDense(Layer):
@@ -91,11 +105,13 @@ class HyperDense(Layer):
     step is split into ``in_h`` consecutive 4-tuples (real, i, j, k), each
     output unit accumulates left products weight*input over the input slots,
     adds a hypercomplex bias, and applies the activation componentwise.
-    Weights are shared across time, so [.., time, 4*in_h] maps to
-    [.., time, 4*units].
+    Weights are shared across time, so [batch, time, 4*in_h] maps to
+    [batch, time, 4*units].
 
     Trainable reals: 4*units*in_h weights + 4*units biases.
     """
+
+    _param_names = ("w", "b")
 
     def __init__(self, in_h: int, units: int, kind: AlgebraKind,
                  activation: Activation = Activation.LINEAR,
@@ -113,50 +129,35 @@ class HyperDense(Layer):
         # as an independent real
         self.w = glorot_uniform(rng, 4 * in_h, 4 * units, (units, in_h, 4))
         self.b = np.zeros((units, 4), dtype=np.float64)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
-        self._cache = None
-
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.dw, self.db]
-
-    def param_names(self):
-        return ["w", "b"]
+        self._zero_grads()
 
     def _block_matrix(self) -> np.ndarray:
         """Real [4*units, 4*in_h] matrix whose (u,s) 4x4 block is the
         left-multiplication matrix of w[u, s]."""
-        # m[u, d, s, q] = sum_p w[u,s,p] * c[p,q,d]
-        m = np.einsum("usp,pqd->udsq", self.w, self.table)
-        return m.reshape(4 * self.units, 4 * self.in_h)
+        m = left_mul_matrix(self.w, self.table)  # [u, s, d, q]
+        return m.transpose(0, 2, 1, 3).reshape(4 * self.units, 4 * self.in_h)
 
     def forward(self, x, training=False):
-        xb, was2d = _as_batch(x, self.name)
+        xb = _as_batch(x, self.name)
         bsz, t, width = xb.shape
         if width != 4 * self.in_h:
             raise ShapeError(
                 f"{self.name}: last input dim {width} != 4*in_h = {4 * self.in_h}"
-                f" (input shape {np.asarray(x).shape})")
+                f" (input shape {xb.shape})")
         flat = xb.reshape(bsz * t, width)
         m = self._block_matrix()
         z = flat @ m.T + self.b.reshape(-1)
         y = _apply_act(z, self.activation)
-        self._cache = (flat, z, m, bsz, t, was2d)
-        out = y.reshape(bsz, t, 4 * self.units)
-        return out[0] if was2d else out
+        self._cache = (flat, z, m, bsz, t)
+        return y.reshape(bsz, t, 4 * self.units)
 
     def backward(self, grad_out):
         self._require_cache()
-        flat, z, m, bsz, t, was2d = self._cache
+        flat, z, m, bsz, t = self._cache
         g = np.asarray(grad_out, dtype=np.float64)
-        if was2d:
-            g = g[None]
         if g.shape != (bsz, t, 4 * self.units):
             raise ShapeError(
-                f"{self.name}: upstream gradient shape {grad_out.shape} does not"
+                f"{self.name}: upstream gradient shape {g.shape} does not"
                 f" match output shape {(bsz, t, 4 * self.units)}")
         dz = g.reshape(bsz * t, 4 * self.units) * _act_grad(z, self.activation)
         self.db[...] = dz.sum(axis=0).reshape(self.units, 4)
@@ -165,12 +166,13 @@ class HyperDense(Layer):
         # dw[u,s,p] = sum_n dz[n,u,d] x[n,s,q] c[p,q,d]
         gux = np.einsum("nud,nsq->udsq", dzh, xh)
         self.dw[...] = np.einsum("udsq,pqd->usp", gux, self.table)
-        dx = (dz @ m).reshape(bsz, t, 4 * self.in_h)
-        return dx[0] if was2d else dx
+        return (dz @ m).reshape(bsz, t, 4 * self.in_h)
 
 
 class Dense(Layer):
     """Fully connected layer applied along the last axis: y = f(x @ W + b)."""
+
+    _param_names = ("w", "b")
 
     def __init__(self, in_features: int, units: int,
                  activation: Activation = Activation.LINEAR,
@@ -182,18 +184,7 @@ class Dense(Layer):
         rng = rng or np.random.default_rng()
         self.w = glorot_uniform(rng, in_features, units, (in_features, units))
         self.b = np.zeros(units, dtype=np.float64)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
-        self._cache = None
-
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.dw, self.db]
-
-    def param_names(self):
-        return ["w", "b"]
+        self._zero_grads()
 
     def forward(self, x, training=False):
         x = np.asarray(x, dtype=np.float64)
@@ -228,6 +219,8 @@ class Conv1D(Layer):
     output time length = time - kernel_size + 1.
     """
 
+    _param_names = ("w", "b")
+
     def __init__(self, channels: int, filters: int, kernel_size: int = 3,
                  activation: Activation = Activation.RELU,
                  rng: np.random.Generator | None = None):
@@ -244,21 +237,10 @@ class Conv1D(Layer):
         self.w = glorot_uniform(rng, fan_in, fan_out,
                                 (filters, kernel_size, channels))
         self.b = np.zeros(filters, dtype=np.float64)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
-        self._cache = None
-
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.dw, self.db]
-
-    def param_names(self):
-        return ["w", "b"]
+        self._zero_grads()
 
     def forward(self, x, training=False):
-        xb, was2d = _as_batch(x, self.name)
+        xb = _as_batch(x, self.name)
         bsz, t, c = xb.shape
         if c != self.channels:
             raise ShapeError(
@@ -271,18 +253,16 @@ class Conv1D(Layer):
             xb, self.kernel_size, axis=1)
         z = np.einsum("btck,fkc->btf", win, self.w, optimize=True) + self.b
         y = _apply_act(z, self.activation)
-        self._cache = (win, z, bsz, t, was2d)
-        return y[0] if was2d else y
+        self._cache = (win, z, bsz, t)
+        return y
 
     def backward(self, grad_out):
         self._require_cache()
-        win, z, bsz, t, was2d = self._cache
+        win, z, bsz, t = self._cache
         g = np.asarray(grad_out, dtype=np.float64)
-        if was2d:
-            g = g[None]
         if g.shape != z.shape:
             raise ShapeError(
-                f"{self.name}: upstream gradient shape {grad_out.shape} does"
+                f"{self.name}: upstream gradient shape {g.shape} does"
                 f" not match output shape {z.shape}")
         dz = g * _act_grad(z, self.activation)
         self.dw[...] = np.einsum("btf,btck->fkc", dz, win, optimize=True)
@@ -292,8 +272,8 @@ class Conv1D(Layer):
         pad = np.zeros((bsz, t + k - 1, self.filters), dtype=np.float64)
         pad[:, k - 1:k - 1 + dz.shape[1], :] = dz
         dwin = np.lib.stride_tricks.sliding_window_view(pad, k, axis=1)
-        dx = np.einsum("btfk,fkc->btc", dwin, self.w[:, ::-1, :], optimize=True)
-        return dx[0] if was2d else dx
+        return np.einsum("btfk,fkc->btc", dwin, self.w[:, ::-1, :],
+                         optimize=True)
 
 
 class LSTM(Layer):
@@ -304,6 +284,8 @@ class LSTM(Layer):
     order inside the stacked kernels. State starts at zero.
     """
 
+    _param_names = ("w", "u", "b")
+
     def __init__(self, channels: int, units: int,
                  rng: np.random.Generator | None = None):
         self.name = "lstm"
@@ -313,26 +295,14 @@ class LSTM(Layer):
         self.w = glorot_uniform(rng, channels, 4 * units, (channels, 4 * units))
         self.u = glorot_uniform(rng, units, 4 * units, (units, 4 * units))
         self.b = np.zeros(4 * units, dtype=np.float64)
-        self.dw = np.zeros_like(self.w)
-        self.du = np.zeros_like(self.u)
-        self.db = np.zeros_like(self.b)
-        self._cache = None
-
-    def params(self):
-        return [self.w, self.u, self.b]
-
-    def grads(self):
-        return [self.dw, self.du, self.db]
-
-    def param_names(self):
-        return ["w", "u", "b"]
+        self._zero_grads()
 
     @staticmethod
     def _sigmoid(z):
         return 1.0 / (1.0 + np.exp(-z))
 
     def forward(self, x, training=False):
-        xb, was2d = _as_batch(x, self.name)
+        xb = _as_batch(x, self.name)
         bsz, t, c = xb.shape
         if c != self.channels:
             raise ShapeError(
@@ -361,21 +331,18 @@ class LSTM(Layer):
             cells[step] = cell
             tanh_c[step] = tc
             hs[step] = h
-        self._cache = (xb, gates, cells, tanh_c, h_prev, c_prev, was2d)
-        out = hs.transpose(1, 0, 2)
-        return out[0] if was2d else out
+        self._cache = (xb, gates, cells, tanh_c, h_prev, c_prev)
+        return hs.transpose(1, 0, 2)
 
     def backward(self, grad_out):
         self._require_cache()
-        xb, gates, cells, tanh_c, h_prev, c_prev, was2d = self._cache
+        xb, gates, cells, tanh_c, h_prev, c_prev = self._cache
         bsz, t, _ = xb.shape
         n = self.units
         g = np.asarray(grad_out, dtype=np.float64)
-        if was2d:
-            g = g[None]
         if g.shape != (bsz, t, n):
             raise ShapeError(
-                f"{self.name}: upstream gradient shape {grad_out.shape} does"
+                f"{self.name}: upstream gradient shape {g.shape} does"
                 f" not match output shape {(bsz, t, n)}")
         self.dw[...] = 0.0
         self.du[...] = 0.0
@@ -402,7 +369,7 @@ class LSTM(Layer):
             dx[:, step, :] = dzg @ self.w.T
             dh_next = dzg @ self.u.T
             dc_next = dc * gf
-        return dx[0] if was2d else dx
+        return dx
 
 
 class MaxPool1D(Layer):
@@ -417,10 +384,9 @@ class MaxPool1D(Layer):
             raise ValueError("pool_size must be >= 1")
         self.name = "maxpool1d"
         self.pool_size = pool_size
-        self._cache = None
 
     def forward(self, x, training=False):
-        xb, was2d = _as_batch(x, self.name)
+        xb = _as_batch(x, self.name)
         bsz, t, f = xb.shape
         if t < self.pool_size:
             raise ShapeError(
@@ -430,39 +396,34 @@ class MaxPool1D(Layer):
             bsz, t_out, self.pool_size, f)
         idx = win.argmax(axis=2)
         out = np.take_along_axis(win, idx[:, :, None, :], axis=2)[:, :, 0, :]
-        self._cache = (idx, bsz, t, f, t_out, was2d)
-        return out[0] if was2d else out
+        self._cache = (idx, bsz, t, f, t_out)
+        return out
 
     def backward(self, grad_out):
         self._require_cache()
-        idx, bsz, t, f, t_out, was2d = self._cache
+        idx, bsz, t, f, t_out = self._cache
         g = np.asarray(grad_out, dtype=np.float64)
-        if was2d:
-            g = g[None]
         if g.shape != (bsz, t_out, f):
             raise ShapeError(
-                f"{self.name}: upstream gradient shape {grad_out.shape} does"
+                f"{self.name}: upstream gradient shape {g.shape} does"
                 f" not match output shape {(bsz, t_out, f)}")
         dwin = np.zeros((bsz, t_out, self.pool_size, f))
         np.put_along_axis(dwin, idx[:, :, None, :], g[:, :, None, :], axis=2)
         dx = np.zeros((bsz, t, f))
         dx[:, :t_out * self.pool_size, :] = dwin.reshape(bsz, -1, f)
-        return dx[0] if was2d else dx
+        return dx
 
 
 class Flatten(Layer):
-    """Reshape [time, feat] -> [time*feat] (or [batch, t, f] -> [batch, t*f])."""
+    """Reshape [batch, ...] -> [batch, prod(...)], keeping the batch axis."""
 
     def __init__(self):
         self.name = "flatten"
-        self._cache = None
 
     def forward(self, x, training=False):
         x = np.asarray(x, dtype=np.float64)
         self._cache = x.shape
-        if x.ndim == 3:
-            return x.reshape(x.shape[0], -1)
-        return x.reshape(-1)
+        return x.reshape(len(x), -1)
 
     def backward(self, grad_out):
         self._require_cache()
@@ -479,7 +440,6 @@ class Dropout(Layer):
         self.name = "dropout"
         self.rate = rate
         self.rng = rng or np.random.default_rng()
-        self._cache = None
 
     def forward(self, x, training=False):
         x = np.asarray(x, dtype=np.float64)

@@ -121,10 +121,9 @@ def cross_validate(spec: ModelSpec, dataset: WindowedDataset, plan: SplitPlan,
     """
     if any(len(f) < 1 for f in plan.folds):
         raise ValueError("cross_validate: every fold needs at least 1 sample")
-    cv_set = set(plan.cv_indices.tolist())
     maes = []
     for k, fold in enumerate(plan.folds):
-        train_idx = np.array(sorted(cv_set - set(fold.tolist())))
+        train_idx = np.setdiff1d(plan.cv_indices, fold)
         model_seed, shuffle_seed = fold_seeds(base_seed, spec, k)
         model = build(dataclasses.replace(spec, seed=model_seed))
         cfg = dataclasses.replace(config, seed=shuffle_seed)
@@ -172,7 +171,7 @@ def _eval_spec(spec_doc: dict) -> dict:
 class SearchResult:
     records: list[dict]
     best: dict
-    holdout_mae: float | None = None
+    holdout_mae: float
 
     @property
     def best_spec(self) -> ModelSpec:
@@ -189,8 +188,7 @@ def resolve_workers(workers: int | None = None) -> int:
 def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
                plan: SplitPlan, out_dir,
                config: TrainConfig = TrainConfig(), base_seed: int = 0,
-               workers: int | None = None,
-               train_best_on_cv: bool = True) -> SearchResult:
+               workers: int | None = None) -> SearchResult:
     """Evaluate every spec, checkpointing each result as it completes.
 
     Already-recorded specs (keyed by canonical serialization) are skipped on
@@ -244,25 +242,20 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     best = _best_of(canonical)
-    result = SearchResult(records=canonical, best=best)
+    spec = ModelSpec.from_json_dict(best["spec"])
+    model_seed, shuffle_seed = fold_seeds(base_seed, spec, len(plan.folds))
+    model = build(dataclasses.replace(spec, seed=model_seed))
+    history = fit(model, dataset.x[plan.cv_indices],
+                  dataset.y[plan.cv_indices],
+                  dataclasses.replace(config, seed=shuffle_seed))
+    holdout_mae = evaluate(model, dataset.x[plan.holdout_indices],
+                           dataset.y[plan.holdout_indices])
+    model.save(out / BEST_MODEL_FILE)
+    write_history_csv(history, out / BEST_HISTORY_FILE,
+                      header_lines=[f"spec: {spec.canonical()}"])
 
-    if train_best_on_cv:
-        spec = result.best_spec
-        model_seed, shuffle_seed = fold_seeds(base_seed, spec, len(plan.folds))
-        model = build(dataclasses.replace(spec, seed=model_seed))
-        history = fit(model, dataset.x[plan.cv_indices],
-                      dataset.y[plan.cv_indices],
-                      dataclasses.replace(config, seed=shuffle_seed))
-        result.holdout_mae = evaluate(model, dataset.x[plan.holdout_indices],
-                                      dataset.y[plan.holdout_indices])
-        model.save(out / BEST_MODEL_FILE)
-        write_history_csv(history, out / BEST_HISTORY_FILE,
-                          header_lines=[f"spec: {spec.canonical()}"])
-
-    best_doc = dict(best)
-    if result.holdout_mae is not None:
-        best_doc["holdout_mae"] = result.holdout_mae
     with open(out / BEST_FILE, "w") as fh:
-        json.dump(best_doc, fh, sort_keys=True, indent=2)
+        json.dump(dict(best, holdout_mae=holdout_mae), fh, sort_keys=True,
+                  indent=2)
         fh.write("\n")
-    return result
+    return SearchResult(records=canonical, best=best, holdout_mae=holdout_mae)

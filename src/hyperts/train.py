@@ -73,7 +73,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     seed: int = 0
-    shuffle: bool = True
     lr: float = 1e-3
 
     def __post_init__(self):
@@ -102,7 +101,7 @@ def fit(model: Model, x: np.ndarray, y: np.ndarray,
     opt = Adam(model.params(), lr=config.lr)
     history = []
     for _ in range(config.epochs):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         loss_sum = 0.0
         mae_sum = 0.0
         for start in range(0, n, config.batch_size):

@@ -160,3 +160,14 @@ class TestLeftMulMatrix:
             w, x = rng.normal(size=(2, 4))
             np.testing.assert_allclose(left_mul_matrix(w, table) @ x,
                                        hmul(w, x, table), atol=1e-12)
+
+    @pytest.mark.parametrize("kind", list(AlgebraKind))
+    def test_stacked_weights_match_per_element_calls(self, kind, rng):
+        table = table_for(kind)
+        w = rng.normal(size=(3, 2, 4))
+        got = left_mul_matrix(w, table)
+        assert got.shape == (3, 2, 4, 4)
+        for u in range(3):
+            for s in range(2):
+                np.testing.assert_array_equal(got[u, s],
+                                              left_mul_matrix(w[u, s], table))

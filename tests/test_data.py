@@ -225,6 +225,12 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(self.make_ds(10))
 
+    @pytest.mark.parametrize("folds", [1, 0])
+    def test_fewer_than_two_folds_rejected(self, folds):
+        # a single fold leaves cross-validation no training rows
+        with pytest.raises(ValueError, match="folds must be >= 2"):
+            split(self.make_ds(100), folds=folds)
+
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
             split(self.make_ds(100), cv_fraction=1.0)

@@ -98,11 +98,20 @@ class TestForward:
     def test_matches_manual_layer_composition(self, rng):
         model = build(spec_for("lstm", 3, n_dense1=1, n_dense2=1,
                                dense_activation="relu"))
-        x = rng.normal(size=(10, 4))
+        x = rng.normal(size=(1, 10, 4))
         want = x
         for lyr in model.layers:
             want = lyr.forward(want, training=False)
         np.testing.assert_array_equal(model.forward(x), want)
+
+    @pytest.mark.parametrize("kind,size,alg", [
+        ("cnn", 4, None), ("lstm", 3, None), ("hyper", 2, "cl11")])
+    def test_single_window_is_batch_of_one(self, kind, size, alg, rng):
+        model = build(spec_for(kind, size, alg, n_dense1=1, n_dense2=1,
+                               span=3))
+        x = rng.normal(size=(4, 10, 4))
+        np.testing.assert_array_equal(model.forward(x[0]),
+                                      model.forward(x[:1])[0])
 
     def test_rejects_wrong_shape(self, rng):
         model = build(spec_for("cnn", 8))
@@ -124,6 +133,21 @@ class TestBackward:
         model.backward(np.zeros(1))
         for g in model.grads():
             np.testing.assert_array_equal(g, np.zeros_like(g))
+
+    @pytest.mark.parametrize("kind,size,alg", [
+        ("cnn", 4, None), ("lstm", 3, None), ("hyper", 2, "quaternion")])
+    def test_single_window_backward_is_batch_of_one(self, kind, size, alg,
+                                                     rng):
+        model = build(spec_for(kind, size, alg, n_dense1=1, span=2))
+        x = rng.normal(size=(1, 10, 4))
+        upstream = rng.normal(size=(1, 2))
+        model.forward(x)
+        dx = model.backward(upstream)
+        want = [g.copy() for g in model.grads()]
+        model.forward(x[0])
+        np.testing.assert_array_equal(model.backward(upstream[0]), dx[0])
+        for got, g in zip(model.grads(), want):
+            np.testing.assert_array_equal(got, g)
 
     def test_grad_shapes_match_param_shapes(self, rng):
         model = build(spec_for("lstm", 3, n_dense1=1))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import check_layer_gradients, max_rel_err, numeric_grad
-from hyperts.algebra import AlgebraKind, left_mul_matrix, table_for
+from hyperts.algebra import AlgebraKind, hmul, left_mul_matrix, table_for
 from hyperts.nn import (Activation, Conv1D, Dense, Dropout, Flatten,
                         HyperDense, LSTM, MaxPool1D, ShapeError)
 
@@ -15,7 +15,7 @@ class TestHyperDense:
         lyr.w[...] = 0.0
         lyr.w[0, 0, 0] = 1.0  # real unit
         lyr.b[...] = 0.0
-        x = rng.normal(size=(6, 4))
+        x = rng.normal(size=(1, 6, 4))
         np.testing.assert_allclose(lyr.forward(x), x, atol=1e-15)
 
     def test_i_weight_maps_j_to_k(self, rng):
@@ -23,22 +23,25 @@ class TestHyperDense:
         lyr.w[...] = 0.0
         lyr.w[0, 0, 1] = 1.0  # w = i
         lyr.b[...] = 0.0
-        out = lyr.forward(np.array([[0.0, 0.0, 1.0, 0.0]]))
-        np.testing.assert_allclose(out, [[0.0, 0.0, 0.0, 1.0]], atol=1e-15)
+        out = lyr.forward(np.array([[[0.0, 0.0, 1.0, 0.0]]]))
+        np.testing.assert_allclose(out, [[[0.0, 0.0, 0.0, 1.0]]], atol=1e-15)
 
     @pytest.mark.parametrize("kind", list(AlgebraKind))
     def test_matches_block_matrix_oracle(self, kind, rng):
         in_h, units, t = 2, 3, 4
         lyr = HyperDense(in_h, units, kind, rng=rng)
-        x = rng.normal(size=(t, 4 * in_h))
+        x = rng.normal(size=(1, t, 4 * in_h))
         table = table_for(kind)
-        # oracle: explicit [4*units, 4*in_h] block matrix from left_mul_matrix
-        blocks = np.zeros((4 * units, 4 * in_h))
-        for u in range(units):
-            for s in range(in_h):
-                blocks[4 * u:4 * u + 4, 4 * s:4 * s + 4] = \
-                    left_mul_matrix(lyr.w[u, s], table)
-        want = x @ blocks.T + lyr.b.reshape(-1)
+        # oracle: per-element products w[u, s] * x[t, slot s] summed over the
+        # input slots, through hmul rather than the layer's block matrix
+        want = np.zeros((1, t, 4 * units))
+        for step in range(t):
+            for u in range(units):
+                acc = lyr.b[u].copy()
+                for s in range(in_h):
+                    acc += hmul(lyr.w[u, s], x[0, step, 4 * s:4 * s + 4],
+                                table)
+                want[0, step, 4 * u:4 * u + 4] = acc
         np.testing.assert_allclose(lyr.forward(x), want, atol=1e-12)
 
     def test_real_only_weights_match_block_diagonal_dense(self, rng):
@@ -55,7 +58,7 @@ class TestHyperDense:
                     for d in range(4):
                         dense.w[4 * s + d, 4 * u + d] = lyr.w[u, s, 0]
             dense.b[...] = lyr.b.reshape(-1)
-            x = rng.normal(size=(5, 4 * in_h))
+            x = rng.normal(size=(1, 5, 4 * in_h))
             np.testing.assert_allclose(lyr.forward(x), dense.forward(x),
                                        atol=1e-12)
 
@@ -64,14 +67,14 @@ class TestHyperDense:
         lyr.w[...] = 0.0
         lyr.w[0, 0, 1] = 1.0  # w = i
         lyr.b[...] = 0.0
-        x = rng.normal(size=(1, 4))
+        x = rng.normal(size=(1, 1, 4))
         lyr.forward(x)
-        upstream = rng.normal(size=(1, 4))
+        upstream = rng.normal(size=(1, 1, 4))
         dx = lyr.backward(upstream)
         m = left_mul_matrix(np.array([0.0, 1.0, 0.0, 0.0]),
                             table_for(AlgebraKind.QUATERNION))
         np.testing.assert_allclose(dx, upstream @ m, atol=1e-12)
-        np.testing.assert_allclose(dx[0], m.T @ upstream[0], atol=1e-12)
+        np.testing.assert_allclose(dx[0, 0], m.T @ upstream[0, 0], atol=1e-12)
 
     @pytest.mark.parametrize("kind", list(AlgebraKind))
     def test_gradients(self, kind, rng):
@@ -86,7 +89,7 @@ class TestHyperDense:
     def test_rejects_bad_width(self, rng):
         lyr = HyperDense(2, 1, AlgebraKind.QUATERNION, rng=rng)
         with pytest.raises(ShapeError):
-            lyr.forward(np.zeros((3, 6)))
+            lyr.forward(np.zeros((1, 3, 6)))
 
 
 class TestDense:
@@ -131,7 +134,7 @@ class TestConv1D:
                      rng=rng)
         lyr.w[...] = 1.0
         lyr.b[...] = 0.0
-        x = rng.normal(size=(5, 1))
+        x = rng.normal(size=(1, 5, 1))
         np.testing.assert_allclose(lyr.forward(x), x)
 
     def test_sliding_sums(self, rng):
@@ -139,19 +142,19 @@ class TestConv1D:
                      rng=rng)
         lyr.w[...] = 1.0
         lyr.b[...] = 0.0
-        out = lyr.forward(np.array([[1.0], [2.0], [3.0]]))
-        np.testing.assert_allclose(out, [[3.0], [5.0]])
+        out = lyr.forward(np.array([[[1.0], [2.0], [3.0]]]))
+        np.testing.assert_allclose(out, [[[3.0], [5.0]]])
 
     def test_output_length_and_params(self, rng):
         lyr = Conv1D(4, 8, kernel_size=3, rng=rng)
-        out = lyr.forward(np.zeros((10, 4)))
-        assert out.shape == (8, 8)
+        out = lyr.forward(np.zeros((1, 10, 4)))
+        assert out.shape == (1, 8, 8)
         assert lyr.param_count() == 8 * 3 * 4 + 8
 
     def test_rejects_short_input(self, rng):
         lyr = Conv1D(2, 1, kernel_size=3, rng=rng)
         with pytest.raises(ShapeError):
-            lyr.forward(np.zeros((2, 2)))
+            lyr.forward(np.zeros((1, 2, 2)))
 
     def test_gradients(self, rng):
         for act in Activation:
@@ -166,8 +169,8 @@ class TestLSTM:
         lyr.w[...] = 0.0
         lyr.u[...] = 0.0
         lyr.b[...] = 0.0
-        out = lyr.forward(np.ones((7, 2)))
-        np.testing.assert_array_equal(out, np.zeros((7, 3)))
+        out = lyr.forward(np.ones((1, 7, 2)))
+        np.testing.assert_array_equal(out, np.zeros((1, 7, 3)))
 
     def test_single_step_hand_recurrence(self):
         # 1 unit, scalar input x=1, unit weights, zero bias, zero state:
@@ -176,10 +179,10 @@ class TestLSTM:
         lyr.w[...] = 1.0
         lyr.u[...] = 1.0
         lyr.b[...] = 0.0
-        out = lyr.forward(np.array([[1.0]]))
+        out = lyr.forward(np.array([[[1.0]]]))
         sig1 = 1.0 / (1.0 + np.exp(-1.0))
         want = sig1 * np.tanh(sig1 * np.tanh(1.0))
-        np.testing.assert_allclose(out, [[want]], atol=1e-14)
+        np.testing.assert_allclose(out, [[[want]]], atol=1e-14)
 
     def test_param_count(self):
         lyr = LSTM(4, 8, rng=np.random.default_rng(0))
@@ -187,8 +190,8 @@ class TestLSTM:
 
     def test_returns_full_sequence(self, rng):
         lyr = LSTM(3, 5, rng=rng)
-        out = lyr.forward(rng.normal(size=(9, 3)))
-        assert out.shape == (9, 5)
+        out = lyr.forward(rng.normal(size=(1, 9, 3)))
+        assert out.shape == (1, 9, 5)
 
     def test_gradients_through_5_steps(self, rng):
         for _ in range(3):
@@ -199,32 +202,32 @@ class TestLSTM:
 class TestMaxPool1D:
     def test_hand_pooling(self):
         lyr = MaxPool1D(2)
-        out = lyr.forward(np.array([[1.0], [3.0], [2.0], [5.0]]))
-        np.testing.assert_allclose(out, [[3.0], [5.0]])
+        out = lyr.forward(np.array([[[1.0], [3.0], [2.0], [5.0]]]))
+        np.testing.assert_allclose(out, [[[3.0], [5.0]]])
 
     def test_trailing_remainder_dropped(self):
         lyr = MaxPool1D(2)
-        out = lyr.forward(np.arange(10.0).reshape(5, 2))
-        assert out.shape == (2, 2)
+        out = lyr.forward(np.arange(10.0).reshape(1, 5, 2))
+        assert out.shape == (1, 2, 2)
 
     def test_constant_input_ties_route_to_first(self):
         lyr = MaxPool1D(2)
-        x = np.ones((4, 2))
+        x = np.ones((1, 4, 2))
         out = lyr.forward(x)
-        np.testing.assert_array_equal(out, np.ones((2, 2)))
-        dx = lyr.backward(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        want = np.array([[1.0, 2.0], [0, 0], [3, 4], [0, 0]])
+        np.testing.assert_array_equal(out, np.ones((1, 2, 2)))
+        dx = lyr.backward(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+        want = np.array([[[1.0, 2.0], [0, 0], [3, 4], [0, 0]]])
         np.testing.assert_array_equal(dx, want)
 
     def test_backward_argmax_routing(self):
         lyr = MaxPool1D(2)
-        lyr.forward(np.array([[1.0], [3.0], [2.0], [5.0]]))
-        dx = lyr.backward(np.array([[7.0], [9.0]]))
-        np.testing.assert_array_equal(dx, [[0.0], [7.0], [0.0], [9.0]])
+        lyr.forward(np.array([[[1.0], [3.0], [2.0], [5.0]]]))
+        dx = lyr.backward(np.array([[[7.0], [9.0]]]))
+        np.testing.assert_array_equal(dx, [[[0.0], [7.0], [0.0], [9.0]]])
 
     def test_rejects_short_input(self):
         with pytest.raises(ShapeError):
-            MaxPool1D(2).forward(np.zeros((1, 3)))
+            MaxPool1D(2).forward(np.zeros((1, 1, 3)))
 
     def test_gradients(self, rng):
         for _ in range(3):
@@ -234,23 +237,24 @@ class TestMaxPool1D:
 
 class TestFlatten:
     def test_row_major_flatten(self):
-        out = Flatten().forward(np.array([[1.0, 2, 3], [4, 5, 6]]))
-        np.testing.assert_array_equal(out, [1, 2, 3, 4, 5, 6])
+        out = Flatten().forward(np.array([[[1.0, 2, 3], [4, 5, 6]]]))
+        np.testing.assert_array_equal(out, [[1, 2, 3, 4, 5, 6]])
 
     def test_round_trip(self, rng):
         lyr = Flatten()
-        x = rng.normal(size=(4, 3))
+        x = rng.normal(size=(1, 4, 3))
         y = lyr.forward(x)
         back = lyr.backward(y)
         np.testing.assert_array_equal(back, x)
-        np.testing.assert_array_equal(lyr.backward(np.ones(12)).shape, (4, 3))
+        np.testing.assert_array_equal(lyr.backward(np.ones((1, 12))).shape,
+                                      (1, 4, 3))
 
     def test_batch_keeps_leading_axis(self, rng):
         x = rng.normal(size=(5, 4, 3))
         assert Flatten().forward(x).shape == (5, 12)
 
     def test_gradients(self, rng):
-        check_layer_gradients(Flatten(), rng.normal(size=(4, 3)), rng)
+        check_layer_gradients(Flatten(), rng.normal(size=(1, 4, 3)), rng)
 
 
 class TestDropout:
@@ -284,6 +288,21 @@ class TestDropout:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             Dropout(1.0)
+
+
+class TestBatchOnly:
+    @pytest.mark.parametrize("make", [
+        lambda r: HyperDense(1, 1, AlgebraKind.QUATERNION, rng=r),
+        lambda r: Conv1D(4, 1, rng=r),
+        lambda r: LSTM(4, 2, rng=r),
+        lambda r: MaxPool1D(2),
+    ])
+    def test_sequence_layers_reject_single_window(self, make, rng):
+        lyr = make(rng)
+        x = rng.normal(size=(1, 6, 4))
+        lyr.forward(x)
+        with pytest.raises(ShapeError, match="batch, time, features"):
+            lyr.forward(x[0])
 
 
 class TestBackwardBeforeForward:
