@@ -13,7 +13,6 @@ import numpy as np
 from hyperts import (align, correlation_matrix, lagged_correlation, load_csv,
                      make_windows, split, standardize)
 
-workdir = pathlib.Path(tempfile.mkdtemp(prefix="hyperts_demo_"))
 rng = np.random.default_rng(42)
 
 # fabricate four correlated daily series with a few missing days each
@@ -25,18 +24,21 @@ series_values = {
     "Gamma": 80 - 1.0 * base + rng.normal(scale=2.0, size=n),
     "Delta": 10 + rng.normal(scale=1.0, size=n).cumsum(),
 }
-start = datetime.date(2020, 1, 1)
-for name, vals in series_values.items():
-    skip = set(rng.choice(n, size=5, replace=False).tolist())
-    with open(workdir / f"{name}.csv", "w") as fh:
-        fh.write("Date,Close\n")
-        for i, v in enumerate(vals):
-            if i in skip:
-                continue
-            fh.write(f"{(start + datetime.timedelta(days=i)).isoformat()},{v}\n")
+with tempfile.TemporaryDirectory(prefix="hyperts_demo_") as tmp:
+    workdir = pathlib.Path(tmp)
+    start = datetime.date(2020, 1, 1)
+    for name, vals in series_values.items():
+        skip = set(rng.choice(n, size=5, replace=False).tolist())
+        with open(workdir / f"{name}.csv", "w") as fh:
+            fh.write("Date,Close\n")
+            for i, v in enumerate(vals):
+                if i in skip:
+                    continue
+                day = start + datetime.timedelta(days=i)
+                fh.write(f"{day.isoformat()},{v}\n")
 
-order = ["Alpha", "Beta", "Gamma", "Delta"]
-series = {name: load_csv(workdir / f"{name}.csv", name) for name in order}
+    order = ["Alpha", "Beta", "Gamma", "Delta"]
+    series = {name: load_csv(workdir / f"{name}.csv", name) for name in order}
 table = align(series, order)
 print(f"aligned {len(table)} of {n} days (rows with any gap dropped)")
 

@@ -3,8 +3,9 @@
 Each command is idempotent: given identical inputs and seed it rewrites
 byte-identical artifacts (no timestamps in any output). Artifact metadata
 records the package version, the seed, a hash of the effective
-configuration, and the defaults in force. The worker pool for searches is
-bounded by --workers or the HYPERTS_WORKERS environment variable.
+configuration, and the defaults in force. `search` loads the dataset once
+and runs its cells on it; --workers sets the size of each cell's worker
+pool (default 1).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .analysis import all_pair_lag_curves, correlation_matrix, \
 from .data import SeriesTable, Scaler, align, load_csv, load_manifest, \
     make_windows, split, standardize
 from .report import build_report, write_report_csv, write_report_json
-from .search import Grid, enumerate_specs, run_search
+from .search import Grid, SearchResult, enumerate_specs, run_search
 from .train import TrainConfig
 
 DATASET_FILE = "dataset.json"
@@ -136,20 +137,20 @@ def _restrict(values, wanted):
     return type(values)(keep)
 
 
-def run_cell(data_dir, out_dir, kind: str, window: int, span: int,
-             order: list[str] | None = None, algebras: list[str] | None = None,
+def run_cell(data: tuple[SeriesTable, Scaler, str], out_dir, label: str,
+             kind: str, window: int, span: int, order: list[str],
+             algebras: list[str] | None = None,
              sizes: list[int] | None = None,
              dense_units: list[int] | None = None,
              max_configs: int | None = None, seed: int = 0,
              epochs: int = 100, batch_size: int = 32, lr: float = 1e-3,
-             workers: int | None = None, folds: int = 10):
-    """Run the grid search for one (class, window, span, order) cell."""
-    table, scaler, target = load_dataset(data_dir)
-    default_order = list(table.order)
-    order = list(order) if order else default_order
+             workers: int | None = None) -> SearchResult:
+    """Run the grid search for one (class, window, span, order) cell of a
+    loaded ``(table, scaler, target)`` dataset."""
+    table, scaler, target = data
     dataset = make_windows(table, target, window, span, order=order,
                            scaler=scaler)
-    plan = split(dataset, cv_fraction=0.8, folds=folds)
+    plan = split(dataset, cv_fraction=0.8)
 
     grid = Grid.default(kind, algebras=algebras)
     grid = dataclasses.replace(
@@ -159,7 +160,6 @@ def run_cell(data_dir, out_dir, kind: str, window: int, span: int,
     if max_configs is not None:
         specs = specs[:max_configs]
 
-    label = _class_label(kind, order, default_order)
     config = TrainConfig(epochs=epochs, batch_size=batch_size, seed=seed,
                          lr=lr)
     out = pathlib.Path(out_dir)
@@ -173,48 +173,46 @@ def run_cell(data_dir, out_dir, kind: str, window: int, span: int,
             "grid_raw_size": grid.raw_size(), "configs": len(specs),
             "meta": _meta(seed, payload,
                           {"epochs": epochs, "batch_size": batch_size,
-                           "lr": lr, "cv_fraction": 0.8, "folds": folds})}
+                           "lr": lr, "cv_fraction": 0.8,
+                           "folds": len(plan.folds)})}
     with open(out / "cell.json", "w") as fh:
         json.dump(cell, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    result = run_search(specs, dataset, plan, out, config=config,
-                        base_seed=seed, workers=workers)
-    return result, label
+    return run_search(specs, dataset, plan, out, config=config,
+                      base_seed=seed, workers=workers)
 
 
 def cmd_search(args) -> int:
     if not args.all and args.klass is None:
         raise ValueError("--class is required unless --all is given")
-    order = args.order.split(",") if args.order else None
     algebras = None if args.algebra in (None, "all") else [args.algebra]
-    kind = {"cnn": "cnn", "lstm": "lstm", "h": "hyper", None: None}[args.klass]
     sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else None
     dense_units = [int(s) for s in args.dense_units.split(",")] \
         if args.dense_units else None
 
+    data = load_dataset(args.data)
+    default_order = data[0].order
     if args.all:
         windows = [int(w) for w in args.windows.split(",")] if args.windows \
             else DEFAULT_WINDOWS
         spans = [int(s) for s in args.spans.split(",")] if args.spans \
             else DEFAULT_SPANS
+        rotated = default_order[1:] + default_order[:1]
         cells = [(k, w, s, o)
                  for w in windows for s in spans
-                 for k, o in [("cnn", None), ("lstm", None), ("hyper", None),
-                              ("hyper", "rotate")]]
+                 for k, o in [("cnn", default_order), ("lstm", default_order),
+                              ("hyper", default_order), ("hyper", rotated)]]
     else:
+        kind = {"cnn": "cnn", "lstm": "lstm", "h": "hyper"}[args.klass]
+        order = args.order.split(",") if args.order else default_order
         cells = [(kind, args.window, args.span, order)]
 
-    table, _, _ = load_dataset(args.data)
     for k, w, s, o in cells:
-        if o == "rotate":
-            o = table.order[1:] + table.order[:1]
-        if args.all:
-            out_dir = pathlib.Path(args.out) / label_dir(k, o, table.order,
-                                                         w, s)
-        else:
-            out_dir = args.out
-        result, label = run_cell(
-            args.data, out_dir, k, w, s, order=o, algebras=algebras,
+        label = _class_label(k, o, default_order)
+        out_dir = pathlib.Path(args.out) / f"{label}_w{w}_s{s}" if args.all \
+            else args.out
+        result = run_cell(
+            data, out_dir, label, k, w, s, o, algebras=algebras,
             sizes=sizes, dense_units=dense_units,
             max_configs=args.max_configs, seed=args.seed, epochs=args.epochs,
             batch_size=args.batch_size, lr=args.lr, workers=args.workers)
@@ -223,12 +221,6 @@ def cmd_search(args) -> int:
               f" params {result.best['param_count']},"
               f" holdout MAE {result.holdout_mae:.4f}")
     return 0
-
-
-def label_dir(kind: str, order, default_order, window: int, span: int) -> str:
-    label = _class_label(kind, list(order) if order else list(default_order),
-                         list(default_order))
-    return f"{label}_w{window}_s{span}"
 
 
 # -- report --------------------------------------------------------------------
@@ -285,7 +277,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--dense-units", default=None,
                    help="restrict the dense-units axis")
     p.add_argument("--max-configs", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker processes per cell (default 1)")
     p.add_argument("--all", action="store_true",
                    help="loop every window/span/class cell sequentially")
     p.add_argument("--windows", default=None,

@@ -15,6 +15,7 @@ import dataclasses
 import datetime
 import json
 import logging
+import math
 
 import numpy as np
 
@@ -94,8 +95,9 @@ class SplitPlan:
 def load_csv(path, ticker: str) -> list[tuple[datetime.date, float]]:
     """Read (date, close) pairs from one CSV export, sorted by date.
 
-    Rows that fail to parse are skipped with a warning; duplicate dates keep
-    the first occurrence. An empty or value-free file is rejected.
+    Rows that fail to parse or whose close is not finite (``nan``, ``inf``)
+    are skipped with a warning; duplicate dates keep the first occurrence.
+    An empty or value-free file is rejected.
     """
     pairs: dict[datetime.date, float] = {}
     with open(path, newline="") as fh:
@@ -110,6 +112,8 @@ def load_csv(path, ticker: str) -> list[tuple[datetime.date, float]]:
                 day = datetime.date.fromisoformat(row["Date"].strip())
                 value = float(row["Close"])
             except (ValueError, TypeError, AttributeError):
+                value = math.nan
+            if not math.isfinite(value):
                 log.warning("%s: skipping unparseable row %d in %s",
                             ticker, lineno, path)
                 continue

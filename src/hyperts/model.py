@@ -27,6 +27,11 @@ CONV_ACTIVATION = Activation.RELU
 HYPER_ACTIVATION = Activation.LINEAR
 
 
+def spec_key(spec_doc: dict) -> str:
+    """Canonical serialization of a spec's JSON dict (the ledger key)."""
+    return json.dumps(spec_doc, sort_keys=True, separators=(",", ":"))
+
+
 @dataclasses.dataclass(frozen=True)
 class ModelSpec:
     """One point in architecture space.
@@ -100,8 +105,7 @@ class ModelSpec:
 
     def canonical(self) -> str:
         """Stable key used for ledgers, dedup, and resume."""
-        return json.dumps(self.to_json_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return spec_key(self.to_json_dict())
 
     def stable_id(self) -> int:
         """64-bit id derived from the canonical form (process-independent)."""

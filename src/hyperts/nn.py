@@ -308,35 +308,28 @@ class LSTM(Layer):
             raise ShapeError(
                 f"{self.name}: {c} input channels, expected {self.channels}")
         n = self.units
-        h = np.zeros((bsz, n))
-        cell = np.zeros((bsz, n))
         gates = np.empty((t, bsz, 4 * n))
-        cells = np.empty((t, bsz, n))
         tanh_c = np.empty((t, bsz, n))
-        hs = np.empty((t, bsz, n))
-        h_prev = np.empty((t, bsz, n))
-        c_prev = np.empty((t, bsz, n))
+        # hs[s] and cells[s] are the states before step s (row 0 is the zero
+        # start state), so step s reads row s and writes row s + 1.
+        hs = np.zeros((t + 1, bsz, n))
+        cells = np.zeros((t + 1, bsz, n))
         for step in range(t):
-            h_prev[step] = h
-            c_prev[step] = cell
-            zg = xb[:, step, :] @ self.w + h @ self.u + self.b
+            zg = xb[:, step, :] @ self.w + hs[step] @ self.u + self.b
             gi = self._sigmoid(zg[:, :n])
             gf = self._sigmoid(zg[:, n:2 * n])
             gg = np.tanh(zg[:, 2 * n:3 * n])
             go = self._sigmoid(zg[:, 3 * n:])
-            cell = gf * cell + gi * gg
-            tc = np.tanh(cell)
-            h = go * tc
+            cells[step + 1] = gf * cells[step] + gi * gg
+            tanh_c[step] = np.tanh(cells[step + 1])
+            hs[step + 1] = go * tanh_c[step]
             gates[step] = np.concatenate([gi, gf, gg, go], axis=1)
-            cells[step] = cell
-            tanh_c[step] = tc
-            hs[step] = h
-        self._cache = (xb, gates, cells, tanh_c, h_prev, c_prev)
-        return hs.transpose(1, 0, 2)
+        self._cache = (xb, gates, tanh_c, hs, cells)
+        return hs[1:].transpose(1, 0, 2)
 
     def backward(self, grad_out):
         self._require_cache()
-        xb, gates, cells, tanh_c, h_prev, c_prev = self._cache
+        xb, gates, tanh_c, hs, cells = self._cache
         bsz, t, _ = xb.shape
         n = self.units
         g = np.asarray(grad_out, dtype=np.float64)
@@ -359,12 +352,12 @@ class LSTM(Layer):
             tc = tanh_c[step]
             dc = dc_next + dh * go * (1.0 - tc * tc)
             d_gi = dc * gg * gi * (1.0 - gi)
-            d_gf = dc * c_prev[step] * gf * (1.0 - gf)
+            d_gf = dc * cells[step] * gf * (1.0 - gf)
             d_gg = dc * gi * (1.0 - gg * gg)
             d_go = dh * tc * go * (1.0 - go)
             dzg = np.concatenate([d_gi, d_gf, d_gg, d_go], axis=1)
             self.dw += xb[:, step, :].T @ dzg
-            self.du += h_prev[step].T @ dzg
+            self.du += hs[step].T @ dzg
             self.db += dzg.sum(axis=0)
             dx[:, step, :] = dzg @ self.w.T
             dh_next = dzg @ self.u.T

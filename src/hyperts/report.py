@@ -53,7 +53,7 @@ def build_report(results_dir) -> dict:
         best = cell["best"]
         entry[cell["label"]] = {
             "mean_mae": best["mean_mae"],
-            "holdout_mae": best.get("holdout_mae"),
+            "holdout_mae": best["holdout_mae"],
             "param_count": best["param_count"],
             "spec": best["spec"],
         }
@@ -90,9 +90,7 @@ def write_report_csv(report: dict, path,
                 if info is None:
                     row += ["", "", ""]
                 else:
-                    hold = info["holdout_mae"]
-                    row += [repr(info["mean_mae"]),
-                            "" if hold is None else repr(hold),
+                    row += [repr(info["mean_mae"]), repr(info["holdout_mae"]),
                             str(info["param_count"])]
             row.append(cell["min_params_label"])
             fh.write(",".join(row) + "\n")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import json
-import os
+import math
 import pathlib
 import time
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import AlgebraKind
 from .data import SplitPlan, WindowedDataset
-from .model import ModelSpec, build
+from .model import ModelSpec, build, spec_key
 from .train import TrainConfig, evaluate, fit, write_history_csv
 
 PROGRESS_FILE = "progress.ndjson"
@@ -132,15 +132,16 @@ def cross_validate(spec: ModelSpec, dataset: WindowedDataset, plan: SplitPlan,
     return float(np.mean(maes)), maes
 
 
-def _record_sort_key(record: dict) -> str:
-    return json.dumps(record["spec"], sort_keys=True, separators=(",", ":"))
-
-
 def _best_of(records: list[dict]) -> dict:
     """argmin mean MAE, ties broken by smaller param_count then by the
-    lexicographic canonical spec."""
-    return min(records, key=lambda r: (r["mean_mae"], r["param_count"],
-                                       _record_sort_key(r)))
+    lexicographic canonical spec. A non-finite mean ranks after every finite
+    one, and is never the winner."""
+    best = min(records, key=lambda r: (not math.isfinite(r["mean_mae"]),
+                                       r["mean_mae"], r["param_count"],
+                                       spec_key(r["spec"])))
+    if not math.isfinite(best["mean_mae"]):
+        raise ValueError("no configuration has a finite mean MAE")
+    return best
 
 
 # Worker-side dataset/plan, installed once per process by the pool
@@ -178,62 +179,61 @@ class SearchResult:
         return ModelSpec.from_json_dict(self.best["spec"])
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("HYPERTS_WORKERS")
-    return max(1, int(env)) if env else 1
-
-
 def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
                plan: SplitPlan, out_dir,
                config: TrainConfig = TrainConfig(), base_seed: int = 0,
                workers: int | None = None) -> SearchResult:
     """Evaluate every spec, checkpointing each result as it completes.
 
-    Already-recorded specs (keyed by canonical serialization) are skipped on
-    resume. After scoring, the best spec is retrained on the full CV block
-    and scored on the holdout block; its weights are saved alongside the
-    ledgers.
+    ``workers`` processes score configs in parallel; ``None`` means 1, and
+    a count below 1 raises ``ValueError``. Already-recorded specs (keyed by
+    ``spec_key``) are skipped on resume; a ledger line torn by a kill
+    mid-write is cut off and its spec scored again, while a complete line
+    that does not parse raises. After scoring, the best spec is retrained on
+    the full CV block and scored on the holdout block; its weights are saved
+    alongside the ledgers.
     """
+    workers = 1 if workers is None else workers
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     progress_path = out / PROGRESS_FILE
 
     done: dict[str, dict] = {}
-    if progress_path.exists():
-        with open(progress_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                done.setdefault(_record_sort_key(record), record)
+    ledger_bytes = progress_path.read_bytes() if progress_path.exists() \
+        else b""
+    intact = ledger_bytes[:ledger_bytes.rfind(b"\n") + 1]
+    for line in intact.splitlines():
+        if line.strip():
+            record = json.loads(line)
+            done.setdefault(spec_key(record["spec"]), record)
 
     wanted = {spec.canonical(): spec for spec in specs}
     todo = [spec for key, spec in wanted.items() if key not in done]
 
-    nworkers = resolve_workers(workers)
     with open(progress_path, "a") as ledger:
+        ledger.truncate(len(intact))  # drop a torn last record
+
         def note(record):
             ledger.write(json.dumps(record, sort_keys=True) + "\n")
             ledger.flush()
-            done[_record_sort_key(record)] = record
+            done[spec_key(record["spec"])] = record
 
-        if nworkers == 1 or len(todo) <= 1:
+        if workers == 1 or len(todo) <= 1:
             _init_worker(dataset, plan, config, base_seed)
             for spec in todo:
                 note(_eval_spec(spec.to_json_dict()))
         else:
             with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=nworkers, initializer=_init_worker,
+                    max_workers=workers, initializer=_init_worker,
                     initargs=(dataset, plan, config, base_seed)) as pool:
                 futures = [pool.submit(_eval_spec, s.to_json_dict())
                            for s in todo]
                 for fut in concurrent.futures.as_completed(futures):
                     note(fut.result())
 
-    records = sorted((done[key] for key in wanted), key=_record_sort_key)
+    records = [done[key] for key in sorted(wanted)]
     canonical = [{k: r[k] for k in
                   ("spec", "fold_maes", "mean_mae", "param_count")}
                  for r in records]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_table, write_ticker_csvs
+from hyperts import cli
 from hyperts.cli import load_dataset, main
 
 
@@ -138,6 +139,32 @@ class TestSearch:
             assert (out / d / "best.json").exists()
         hr = json.loads((out / "HR_w10_s1" / "cell.json").read_text())
         assert hr["order"] == ["T1", "T2", "T3", "T0"]  # rotated default
+
+    @pytest.mark.parametrize("cells", [
+        ["--class", "h"] + SMOKE,
+        ["--all", "--windows", "10", "--spans", "1", "--epochs", 1,
+         "--max-configs", 1],
+    ])
+    def test_dataset_loaded_once(self, ingested, tmp_path, monkeypatch,
+                                 cells):
+        calls = []
+
+        def counting_load(data_dir):
+            calls.append(data_dir)
+            return load_dataset(data_dir)
+
+        monkeypatch.setattr(cli, "load_dataset", counting_load)
+        assert run(["search", "--data", ingested, "--out", tmp_path / "out"]
+                   + cells) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_exits_1(self, ingested, tmp_path,
+                                            workers, capsys):
+        assert run(["search", "--class", "h", "--data", ingested,
+                    "--out", tmp_path / "cell", "--workers", workers]
+                   + SMOKE) == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
 
 
 class TestReport:

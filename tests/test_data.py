@@ -32,6 +32,15 @@ class TestLoadCsv:
                       ["2020-01-01,1.0", "2020-01-02,", "2020-01-03,3.0"])
         assert len(load_csv(p, "A")) == 2
 
+    def test_non_finite_close_skipped(self, tmp_path, caplog):
+        p = write_csv(tmp_path / "a.csv",
+                      ["2020-01-01,1.0", "2020-01-02,nan", "2020-01-03,inf",
+                       "2020-01-04,-inf", "2020-01-05,5.0"])
+        with caplog.at_level("WARNING"):
+            pairs = load_csv(p, "A")
+        assert [v for _, v in pairs] == [1.0, 5.0]
+        assert caplog.text.count("skipping unparseable row") == 3
+
     def test_unsorted_input_sorted(self, tmp_path):
         p = write_csv(tmp_path / "a.csv",
                       ["2020-01-03,3.0", "2020-01-01,1.0", "2020-01-02,2.0"])

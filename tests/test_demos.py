@@ -19,7 +19,6 @@ DEMOS = ["01_algebra_basics.py", "02_hyperdense_layer.py",
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo, tmp_path):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    # demo 03 writes its CSVs to a mkdtemp directory it never removes
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
                TMPDIR=str(tmp_path))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
@@ -27,3 +26,4 @@ def test_demo_runs(demo, tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert not list(tmp_path.glob("hyperts_*")), "demo left temp files"

@@ -203,6 +203,31 @@ class TestRunSearch:
         assert (broken_dir / "best.json").read_bytes() == \
             (full_dir / "best.json").read_bytes()
 
+    def test_resume_after_torn_last_line(self, tmp_path):
+        ds, plan = small_dataset()
+        specs = [hyper_spec(size=s) for s in (1, 2, 4)]
+        full_dir = tmp_path / "full"
+        run_search(specs, ds, plan, full_dir, config=FAST, base_seed=2)
+
+        torn_dir = tmp_path / "torn"
+        run_search(specs, ds, plan, torn_dir, config=FAST, base_seed=2)
+        ledger = torn_dir / "progress.ndjson"
+        ledger.write_bytes(ledger.read_bytes()[:-20])  # killed mid-write
+        run_search(specs, ds, plan, torn_dir, config=FAST, base_seed=2)
+
+        lines = ledger.read_text().splitlines()
+        assert len(lines) == 3
+        assert all(json.loads(line) for line in lines)
+        for name in ("results.ndjson", "best.json"):
+            assert (torn_dir / name).read_bytes() == \
+                (full_dir / name).read_bytes()
+
+    def test_unparseable_complete_line_raises(self, tmp_path):
+        ds, plan = small_dataset()
+        (tmp_path / "progress.ndjson").write_text('{"spec": \n')
+        with pytest.raises(json.JSONDecodeError):
+            run_search([hyper_spec()], ds, plan, tmp_path, config=FAST)
+
     def test_every_spec_once_in_ledger(self, tmp_path):
         ds, plan = small_dataset()
         specs = [hyper_spec(size=s) for s in (1, 2)]
@@ -224,14 +249,12 @@ class TestRunSearch:
         assert (tmp_path / "w1" / "results.ndjson").read_bytes() == \
             (tmp_path / "w2" / "results.ndjson").read_bytes()
 
-    def test_workers_env_variable(self, monkeypatch):
-        from hyperts.search import resolve_workers
-
-        monkeypatch.delenv("HYPERTS_WORKERS", raising=False)
-        assert resolve_workers() == 1
-        monkeypatch.setenv("HYPERTS_WORKERS", "3")
-        assert resolve_workers() == 3
-        assert resolve_workers(workers=2) == 2  # explicit beats env
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, workers, tmp_path):
+        ds, plan = small_dataset()
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_search([hyper_spec()], ds, plan, tmp_path, config=FAST,
+                       workers=workers)
 
     def test_tie_break_prefers_fewer_params(self):
         records = [
@@ -241,3 +264,21 @@ class TestRunSearch:
              "param_count": 200},
         ]
         assert search_mod._best_of(records)["param_count"] == 200
+
+    def test_non_finite_mean_never_wins(self):
+        records = [
+            {"spec": {"test_layer": "cnn:8"}, "mean_mae": float("nan"),
+             "param_count": 100},
+            {"spec": {"test_layer": "cnn:16"}, "mean_mae": 0.5,
+             "param_count": 300},
+            {"spec": {"test_layer": "cnn:32"}, "mean_mae": float("inf"),
+             "param_count": 50},
+        ]
+        for order in (records, records[::-1]):
+            assert search_mod._best_of(order)["mean_mae"] == 0.5
+
+    def test_no_finite_mean_raises(self):
+        records = [{"spec": {"test_layer": "cnn:8"}, "mean_mae": float("nan"),
+                    "param_count": 100}]
+        with pytest.raises(ValueError, match="finite"):
+            search_mod._best_of(records)
