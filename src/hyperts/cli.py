@@ -31,6 +31,8 @@ from .train import TrainConfig
 DATASET_FILE = "dataset.json"
 TABLE_FILE = "table.csv"
 
+DEFAULT_WINDOW = 10
+DEFAULT_SPAN = 1
 DEFAULT_WINDOWS = [10, 20, 40, 60]
 DEFAULT_SPANS = [1, 5, 10, 20]
 
@@ -183,6 +185,16 @@ def run_cell(data: tuple[SeriesTable, Scaler, str], out_dir, label: str,
 
 
 def cmd_search(args) -> int:
+    if args.all:
+        mode = "with --all"
+        unused = {"--class": args.klass, "--order": args.order,
+                  "--window": args.window, "--span": args.span}
+    else:
+        mode = "without --all"
+        unused = {"--windows": args.windows, "--spans": args.spans}
+    mixed = [flag for flag, value in unused.items() if value is not None]
+    if mixed:
+        raise ValueError(f"{', '.join(mixed)} cannot be used {mode}")
     if not args.all and args.klass is None:
         raise ValueError("--class is required unless --all is given")
     algebras = None if args.algebra in (None, "all") else [args.algebra]
@@ -205,7 +217,9 @@ def cmd_search(args) -> int:
     else:
         kind = {"cnn": "cnn", "lstm": "lstm", "h": "hyper"}[args.klass]
         order = args.order.split(",") if args.order else default_order
-        cells = [(kind, args.window, args.span, order)]
+        window = DEFAULT_WINDOW if args.window is None else args.window
+        span = DEFAULT_SPAN if args.span is None else args.span
+        cells = [(kind, window, span, order)]
 
     for k, w, s, o in cells:
         label = _class_label(k, o, default_order)
@@ -261,8 +275,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="klass", choices=["cnn", "lstm", "h"],
                    default=None)
     p.add_argument("--data", required=True)
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--span", type=int, default=1)
+    p.add_argument("--window", type=int, default=None,
+                   help=f"window of a single cell (default {DEFAULT_WINDOW})")
+    p.add_argument("--span", type=int, default=None,
+                   help=f"span of a single cell (default {DEFAULT_SPAN})")
     p.add_argument("--order", default=None,
                    help="comma-separated ticker permutation")
     p.add_argument("--algebra", default="all",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -119,21 +120,40 @@ class Model:
     The layers take batches only; ``forward`` and ``backward`` also accept a
     single window (and its 1-D output gradient) by lifting it to a batch of
     one and returning row 0.
+
+    All trainable reals live in one contiguous float64 vector and all their
+    gradients in a second one, laid out layer by layer in ``_param_names``
+    order. Each layer's named arrays (``w``, ``dw``, ...) are views of their
+    slices, so layers must write into them in place, never rebind them.
+    ``params()`` and ``grads()`` return the two vectors, which lets an
+    optimizer update every parameter with one set of vector operations.
     """
 
     def __init__(self, spec: ModelSpec, layers: list[Layer]):
         self.spec = spec
         self.layers = layers
         self.layer_ids = [f"{i:02d}_{lyr.name}" for i, lyr in enumerate(layers)]
+        named = [(lyr, pname) for lyr in layers for pname in lyr._param_names]
+        self._params = np.concatenate(
+            [getattr(lyr, pname).reshape(-1) for lyr, pname in named])
+        self._grads = np.concatenate(
+            [getattr(lyr, "d" + pname).reshape(-1) for lyr, pname in named])
+        start = 0
+        for lyr, pname in named:
+            shape = getattr(lyr, pname).shape
+            stop = start + math.prod(shape)
+            setattr(lyr, pname, self._params[start:stop].reshape(shape))
+            setattr(lyr, "d" + pname, self._grads[start:stop].reshape(shape))
+            start = stop
 
     def param_count(self) -> int:
         return sum(lyr.param_count() for lyr in self.layers)
 
     def params(self) -> list[np.ndarray]:
-        return [p for lyr in self.layers for p in lyr.params()]
+        return [self._params]
 
     def grads(self) -> list[np.ndarray]:
-        return [g for lyr in self.layers for g in lyr.grads()]
+        return [self._grads]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

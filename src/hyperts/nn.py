@@ -7,7 +7,9 @@ last axis of any input. A single window is lifted to a batch of one by
 ``Model.forward``, not by the layers. Every layer caches what its backward
 pass needs. A layer names its trainable arrays once, in ``_param_names``;
 the gradient of attribute ``<name>`` lives at ``d<name>`` (same shape) and
-is filled by ``backward()``.
+is filled by ``backward()``. Once the layer is part of a ``Model``, both
+arrays are views into the model's parameter and gradient vectors, so
+``backward()`` writes gradients in place and nothing may rebind them.
 """
 
 from __future__ import annotations
@@ -35,11 +37,27 @@ def _apply_act(z: np.ndarray, act: Activation) -> np.ndarray:
     return z
 
 
-def _act_grad(z: np.ndarray, act: Activation) -> np.ndarray:
-    """Elementwise dy/dz at pre-activation z."""
+def _act_backward(g: np.ndarray, z: np.ndarray,
+                  act: Activation) -> np.ndarray:
+    """dL/dz from the upstream gradient ``g`` at pre-activation ``z``
+    (``g`` itself for linear)."""
     if act is Activation.RELU:
-        return (z > 0.0).astype(np.float64)
-    return np.ones_like(z)
+        return g * (z > 0.0)
+    return g
+
+
+def _select_bits(mask: np.ndarray, a: np.ndarray,
+                 b: np.ndarray) -> np.ndarray:
+    """The exact float64 of ``a`` where the int64 ``mask`` is all ones and of
+    ``b`` where it is zero: a bitwise blend, so signed zeros and NaN payloads
+    are copied unchanged, and unlike ``np.where`` it does not branch on each
+    element."""
+    a_bits = a.view(np.int64)
+    b_bits = b.view(np.int64)
+    out = a_bits ^ b_bits
+    out &= mask
+    out ^= b_bits
+    return out.view(np.float64)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -159,7 +177,8 @@ class HyperDense(Layer):
             raise ShapeError(
                 f"{self.name}: upstream gradient shape {g.shape} does not"
                 f" match output shape {(bsz, t, 4 * self.units)}")
-        dz = g.reshape(bsz * t, 4 * self.units) * _act_grad(z, self.activation)
+        dz = _act_backward(g.reshape(bsz * t, 4 * self.units), z,
+                           self.activation)
         self.db[...] = dz.sum(axis=0).reshape(self.units, 4)
         dzh = dz.reshape(-1, self.units, 4)
         xh = flat.reshape(-1, self.in_h, 4)
@@ -204,7 +223,7 @@ class Dense(Layer):
             raise ShapeError(
                 f"{self.name}: upstream gradient shape {g.shape} does not match"
                 f" output shape {z.shape}")
-        dz = g * _act_grad(z, self.activation)
+        dz = _act_backward(g, z, self.activation)
         xf = x.reshape(-1, self.in_features)
         dzf = dz.reshape(-1, self.units)
         self.dw[...] = xf.T @ dzf
@@ -264,7 +283,7 @@ class Conv1D(Layer):
             raise ShapeError(
                 f"{self.name}: upstream gradient shape {g.shape} does"
                 f" not match output shape {z.shape}")
-        dz = g * _act_grad(z, self.activation)
+        dz = _act_backward(g, z, self.activation)
         self.dw[...] = np.einsum("btf,btck->fkc", dz, win, optimize=True)
         self.db[...] = dz.sum(axis=(0, 1))
         # full correlation of dz with the kernel flipped along k
@@ -316,14 +335,16 @@ class LSTM(Layer):
         cells = np.zeros((t + 1, bsz, n))
         for step in range(t):
             zg = xb[:, step, :] @ self.w + hs[step] @ self.u + self.b
-            gi = self._sigmoid(zg[:, :n])
-            gf = self._sigmoid(zg[:, n:2 * n])
-            gg = np.tanh(zg[:, 2 * n:3 * n])
-            go = self._sigmoid(zg[:, 3 * n:])
+            gate = gates[step]
+            gi, gf, gg, go = (gate[:, :n], gate[:, n:2 * n],
+                              gate[:, 2 * n:3 * n], gate[:, 3 * n:])
+            gi[...] = self._sigmoid(zg[:, :n])
+            gf[...] = self._sigmoid(zg[:, n:2 * n])
+            gg[...] = np.tanh(zg[:, 2 * n:3 * n])
+            go[...] = self._sigmoid(zg[:, 3 * n:])
             cells[step + 1] = gf * cells[step] + gi * gg
             tanh_c[step] = np.tanh(cells[step + 1])
             hs[step + 1] = go * tanh_c[step]
-            gates[step] = np.concatenate([gi, gf, gg, go], axis=1)
         self._cache = (xb, gates, tanh_c, hs, cells)
         return hs[1:].transpose(1, 0, 2)
 
@@ -343,19 +364,18 @@ class LSTM(Layer):
         dx = np.empty_like(xb)
         dh_next = np.zeros((bsz, n))
         dc_next = np.zeros((bsz, n))
+        dzg = np.empty((bsz, 4 * n))
         for step in range(t - 1, -1, -1):
             dh = g[:, step, :] + dh_next
-            gi = gates[step][:, :n]
-            gf = gates[step][:, n:2 * n]
-            gg = gates[step][:, 2 * n:3 * n]
-            go = gates[step][:, 3 * n:]
+            gate = gates[step]
+            gi, gf, gg, go = (gate[:, :n], gate[:, n:2 * n],
+                              gate[:, 2 * n:3 * n], gate[:, 3 * n:])
             tc = tanh_c[step]
             dc = dc_next + dh * go * (1.0 - tc * tc)
-            d_gi = dc * gg * gi * (1.0 - gi)
-            d_gf = dc * cells[step] * gf * (1.0 - gf)
-            d_gg = dc * gi * (1.0 - gg * gg)
-            d_go = dh * tc * go * (1.0 - go)
-            dzg = np.concatenate([d_gi, d_gf, d_gg, d_go], axis=1)
+            dzg[:, :n] = dc * gg * gi * (1.0 - gi)
+            dzg[:, n:2 * n] = dc * cells[step] * gf * (1.0 - gf)
+            dzg[:, 2 * n:3 * n] = dc * gi * (1.0 - gg * gg)
+            dzg[:, 3 * n:] = dh * tc * go * (1.0 - go)
             self.dw += xb[:, step, :].T @ dzg
             self.du += hs[step].T @ dzg
             self.db += dzg.sum(axis=0)
@@ -368,8 +388,11 @@ class LSTM(Layer):
 class MaxPool1D(Layer):
     """Non-overlapping max pooling along time; trailing remainder dropped.
 
-    Backward routes the gradient to the argmax position of each window
-    (first index on ties).
+    With pool size ``p``, position ``j`` of every window is the strided time
+    slice ``x[:, j:t_out*p:p, :]``. The slices are compared in order, so
+    each window pools to its first maximum, or to its first NaN if it holds
+    one (the ``argmax`` rule). Backward routes the gradient to that
+    position.
     """
 
     def __init__(self, pool_size: int = 2):
@@ -381,29 +404,41 @@ class MaxPool1D(Layer):
     def forward(self, x, training=False):
         xb = _as_batch(x, self.name)
         bsz, t, f = xb.shape
-        if t < self.pool_size:
-            raise ShapeError(
-                f"{self.name}: time length {t} < pool_size {self.pool_size}")
-        t_out = t // self.pool_size
-        win = xb[:, :t_out * self.pool_size, :].reshape(
-            bsz, t_out, self.pool_size, f)
-        idx = win.argmax(axis=2)
-        out = np.take_along_axis(win, idx[:, :, None, :], axis=2)[:, :, 0, :]
-        self._cache = (idx, bsz, t, f, t_out)
+        p = self.pool_size
+        if t < p:
+            raise ShapeError(f"{self.name}: time length {t} < pool_size {p}")
+        end = t // p * p
+        out = xb[:, 0:end:p, :]
+        # beats[j] is all ones where slice j beats every earlier slice: it
+        # is larger, or NaN while the running maximum is not. Slice 0 beats
+        # the empty set.
+        beats = [-1]
+        for j in range(1, p):
+            s = xb[:, j:end:p, :]
+            beats.append(np.negative(~(s <= out) & (out == out),
+                                     dtype=np.int64))
+            out = _select_bits(beats[j], s, out)
+        self._cache = (beats, bsz, t, f)
         return out
 
     def backward(self, grad_out):
         self._require_cache()
-        idx, bsz, t, f, t_out = self._cache
+        beats, bsz, t, f = self._cache
+        p = self.pool_size
+        end = t // p * p
         g = np.asarray(grad_out, dtype=np.float64)
-        if g.shape != (bsz, t_out, f):
+        if g.shape != (bsz, end // p, f):
             raise ShapeError(
                 f"{self.name}: upstream gradient shape {g.shape} does"
-                f" not match output shape {(bsz, t_out, f)}")
-        dwin = np.zeros((bsz, t_out, self.pool_size, f))
-        np.put_along_axis(dwin, idx[:, :, None, :], g[:, :, None, :], axis=2)
+                f" not match output shape {(bsz, end // p, f)}")
         dx = np.zeros((bsz, t, f))
-        dx[:, :t_out * self.pool_size, :] = dwin.reshape(bsz, -1, f)
+        # Slice j won its window where it beats every earlier slice and no
+        # later slice beats it; every other position keeps dx's +0.0.
+        later = 0
+        for j in range(p - 1, -1, -1):
+            np.bitwise_and(g.view(np.int64), beats[j] & ~later,
+                           out=dx[:, j:end:p, :].view(np.int64))
+            later = later | beats[j]
         return dx
 
 

@@ -158,6 +158,32 @@ class TestSearch:
                    + cells) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--all", "--class", "cnn"],
+        ["--all", "--order", "T1,T2,T3,T0"],
+        ["--all", "--window", 10],
+        ["--all", "--span", 1],
+        ["--class", "h", "--windows", "10"],
+        ["--class", "h", "--spans", "1"],
+    ])
+    def test_flag_of_the_other_mode_exits_1(self, ingested, tmp_path, flags,
+                                            capsys):
+        out = tmp_path / "out"
+        grid = ["--windows", "10", "--spans", "1"] if "--all" in flags \
+            else []
+        assert run(["search", "--data", ingested, "--out", out] + flags
+                   + grid + SMOKE) == 1
+        assert f"{flags[-2]} cannot be used" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_cell_defaults_to_window_10_span_1(self, ingested,
+                                                      tmp_path):
+        out = tmp_path / "cell"
+        assert run(["search", "--class", "h", "--data", ingested,
+                    "--out", out] + SMOKE) == 0
+        cell = json.loads((out / "cell.json").read_text())
+        assert (cell["window"], cell["span"]) == (10, 1)
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_exits_1(self, ingested, tmp_path,
                                             workers, capsys):

@@ -10,6 +10,7 @@ import pytest
 from conftest import check_model_gradients
 from hyperts.model import Model, ModelSpec, build, load_model, min_window
 from hyperts.nn import ShapeError
+from hyperts.train import TrainConfig, fit
 
 
 def spec_for(kind, size, algebra=None, n_dense1=0, n_dense2=0, dense_units=8,
@@ -211,3 +212,49 @@ class TestSerialization:
         assert spec.canonical() == spec.canonical()
         assert spec.stable_id() == \
             dataclasses.replace(spec).stable_id()
+
+
+LINKED_SPECS = [
+    ("cnn", 4, None), ("lstm", 3, None), ("hyper", 2, "coquaternion")]
+
+
+def assert_vectors_linked(model):
+    """Every layer's named arrays are views of the model's two vectors,
+    which hold them back to back in layer order."""
+    (params,), (grads,) = model.params(), model.grads()
+    assert params.shape == grads.shape == (model.param_count(),)
+    for lyr in model.layers:
+        for p, g in zip(lyr.params(), lyr.grads()):
+            assert np.shares_memory(p, params)
+            assert np.shares_memory(g, grads)
+    for vector, arrays in ((params, [p for l in model.layers
+                                     for p in l.params()]),
+                           (grads, [g for l in model.layers
+                                    for g in l.grads()])):
+        np.testing.assert_array_equal(
+            vector, np.concatenate([a.reshape(-1) for a in arrays]))
+
+
+class TestParameterVectors:
+    @pytest.mark.parametrize("kind,size,alg", LINKED_SPECS)
+    def test_linked_after_build(self, kind, size, alg):
+        assert_vectors_linked(build(spec_for(kind, size, alg, n_dense1=1,
+                                             n_dense2=1)))
+
+    @pytest.mark.parametrize("kind,size,alg", LINKED_SPECS)
+    def test_linked_after_load_model(self, kind, size, alg, tmp_path):
+        model = build(spec_for(kind, size, alg, n_dense1=1, seed=3))
+        model.params()[0][...] += 0.5
+        model.save(tmp_path / "weights.json")
+        clone = load_model(tmp_path / "weights.json")
+        assert_vectors_linked(clone)
+        np.testing.assert_array_equal(clone.params()[0], model.params()[0])
+
+    @pytest.mark.parametrize("kind,size,alg", LINKED_SPECS)
+    def test_linked_after_fit(self, kind, size, alg, rng):
+        model = build(spec_for(kind, size, alg, n_dense2=1, span=2))
+        before = model.params()[0].copy()
+        fit(model, rng.normal(size=(20, 10, 4)), rng.normal(size=(20, 2)),
+            TrainConfig(epochs=2, batch_size=8, seed=1))
+        assert_vectors_linked(model)
+        assert not np.array_equal(model.params()[0], before)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import check_layer_gradients, max_rel_err, numeric_grad
 from hyperts.algebra import AlgebraKind, hmul, left_mul_matrix, table_for
@@ -233,6 +235,42 @@ class TestMaxPool1D:
         for _ in range(3):
             check_layer_gradients(MaxPool1D(2), rng.normal(size=(2, 7, 3)),
                                   rng)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_argmax_formulation_bit_for_bit(self, data):
+        p = data.draw(st.sampled_from([2, 3]))
+        t = data.draw(st.integers(p, 4 * p + 1))
+        bsz = data.draw(st.integers(1, 3))
+        f = data.draw(st.integers(1, 3))
+        # a small value set makes ties, signed-zero ties and NaN windows common
+        x = data.draw(hnp.arrays(np.float64, (bsz, t, f), elements=(
+            st.sampled_from([-1.0, -0.0, 0.0, 1.0, np.nan, -np.inf]))))
+        g = data.draw(hnp.arrays(np.float64, (bsz, t // p, f),
+                                 elements=st.floats(width=64)))
+        want_out, want_dx = argmax_pool(x, g, p)
+        lyr = MaxPool1D(p)
+        out = lyr.forward(x)
+        dx = lyr.backward(g)
+        for got, want in ((out, want_out), (dx, want_dx)):
+            assert np.array_equal(got, want, equal_nan=True)
+            # equal bits: signed zeros and NaNs are the very same floats
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def argmax_pool(x, g, p):
+    """Max pooling by argmax over reshaped windows, and its backward by
+    scattering ``g`` to the argmax positions: the reference formulation."""
+    bsz, t, f = x.shape
+    t_out = t // p
+    win = x[:, :t_out * p, :].reshape(bsz, t_out, p, f)
+    idx = win.argmax(axis=2)
+    out = np.take_along_axis(win, idx[:, :, None, :], axis=2)[:, :, 0, :]
+    dwin = np.zeros((bsz, t_out, p, f))
+    np.put_along_axis(dwin, idx[:, :, None, :], g[:, :, None, :], axis=2)
+    dx = np.zeros((bsz, t, f))
+    dx[:, :t_out * p, :] = dwin.reshape(bsz, -1, f)
+    return out, dx
 
 
 class TestFlatten:
