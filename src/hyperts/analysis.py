@@ -65,7 +65,7 @@ def lagged_correlation(a: np.ndarray, b: np.ndarray, max_lag: int = 60,
     vals = np.empty(max_lag + 1)
     n = a.size
     for lag in range(max_lag + 1):
-        vals[lag] = pearson(a[:n - lag], b[lag:]) if lag else pearson(a, b)
+        vals[lag] = pearson(a[:n - lag], b[lag:])
     return LaggedCorrelation(pair=pair, lags=np.arange(max_lag + 1),
                              values=vals)
 

@@ -67,8 +67,7 @@ def save_dataset(out_dir, table: SeriesTable, scaler: Scaler, target: str,
         "scaler": scaler.to_json_dict(),
     }
     with open(out / DATASET_FILE, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
     with open(out / TABLE_FILE, "w") as fh:
         for line in _meta_lines(meta):
             fh.write(f"# {line}\n")
@@ -149,6 +148,8 @@ def run_cell(data: tuple[SeriesTable, Scaler, str], out_dir, label: str,
              workers: int | None = None) -> SearchResult:
     """Run the grid search for one (class, window, span, order) cell of a
     loaded ``(table, scaler, target)`` dataset."""
+    if max_configs is not None and max_configs < 1:
+        raise ValueError(f"max_configs must be >= 1, got {max_configs}")
     table, scaler, target = data
     dataset = make_windows(table, target, window, span, order=order,
                            scaler=scaler)

@@ -207,15 +207,8 @@ def split(dataset: WindowedDataset, cv_fraction: float = 0.8,
         raise ValueError(f"cv block of {cv_n} samples < {folds} folds")
     cv_idx = np.arange(cv_n)
     holdout_idx = np.arange(cv_n, n)
-    base, extra = divmod(cv_n, folds)
-    fold_list = []
-    start = 0
-    for k in range(folds):
-        size = base + (1 if k < extra else 0)
-        fold_list.append(cv_idx[start:start + size])
-        start += size
     return SplitPlan(cv_indices=cv_idx, holdout_indices=holdout_idx,
-                     folds=fold_list)
+                     folds=np.array_split(cv_idx, folds))
 
 
 def load_manifest(path) -> tuple[dict[str, str], list[str], str]:

@@ -194,15 +194,19 @@ class Model:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_doc(), fh)
+            fh.write(json.dumps(self.to_doc()))
 
     def load_params(self, doc: dict) -> None:
         by_key = {(e["layer"], e["param"]): e for e in doc["params"]}
         for lid, lyr in zip(self.layer_ids, self.layers):
             for pname, arr in zip(lyr.param_names(), lyr.params()):
                 entry = by_key.pop((lid, pname))
+                shape = tuple(entry["shape"])
+                if shape != arr.shape:
+                    raise ValueError(f"{lid}.{pname}: document shape {shape}"
+                                     f" != layer shape {arr.shape}")
                 vals = np.asarray(entry["values"], dtype=np.float64)
-                arr[...] = vals.reshape(entry["shape"])
+                arr[...] = vals.reshape(shape)
         if by_key:
             raise ValueError(f"unmatched parameters in document: {list(by_key)}")
 

@@ -74,6 +74,9 @@ class Layer:
     serialization order; each has a same-shaped gradient at ``d<name>``.
     ``params()``, ``grads()``, ``param_names()`` and ``param_count()`` all
     derive from that one declaration.
+
+    ``backward`` reads what ``forward`` cached through ``_cached()`` and
+    checks its upstream gradient's shape through ``_upstream()``.
     """
 
     name = "layer"
@@ -102,16 +105,29 @@ class Layer:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _require_cache(self):
+    def _cached(self):
+        """The cache of the last ``forward``."""
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
+        return self._cache
+
+    def _upstream(self, grad_out: np.ndarray, shape: tuple) -> np.ndarray:
+        """``grad_out`` as float64, required to have the output's shape."""
+        g = np.asarray(grad_out, dtype=np.float64)
+        if g.shape != shape:
+            raise ShapeError(f"{self.name}: upstream gradient shape {g.shape}"
+                             f" does not match output shape {shape}")
+        return g
 
 
-def _as_batch(x: np.ndarray, layer: str) -> np.ndarray:
-    """Return ``x`` as float64, requiring [batch, time, features]."""
+def _as_batch(x: np.ndarray, layer: str,
+              features: int | None = None) -> np.ndarray:
+    """Return ``x`` as float64, requiring [batch, time, features], with
+    ``features`` on the last axis when it is given."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"{layer}: expected [batch, time, features] input,"
+    if x.ndim != 3 or (features is not None and x.shape[2] != features):
+        want = "features" if features is None else f"features={features}"
+        raise ShapeError(f"{layer}: expected [batch, time, {want}] input,"
                          f" got shape {x.shape}")
     return x
 
@@ -156,12 +172,8 @@ class HyperDense(Layer):
         return m.transpose(0, 2, 1, 3).reshape(4 * self.units, 4 * self.in_h)
 
     def forward(self, x, training=False):
-        xb = _as_batch(x, self.name)
+        xb = _as_batch(x, self.name, 4 * self.in_h)
         bsz, t, width = xb.shape
-        if width != 4 * self.in_h:
-            raise ShapeError(
-                f"{self.name}: last input dim {width} != 4*in_h = {4 * self.in_h}"
-                f" (input shape {xb.shape})")
         flat = xb.reshape(bsz * t, width)
         m = self._block_matrix()
         z = flat @ m.T + self.b.reshape(-1)
@@ -170,13 +182,8 @@ class HyperDense(Layer):
         return y.reshape(bsz, t, 4 * self.units)
 
     def backward(self, grad_out):
-        self._require_cache()
-        flat, z, m, bsz, t = self._cache
-        g = np.asarray(grad_out, dtype=np.float64)
-        if g.shape != (bsz, t, 4 * self.units):
-            raise ShapeError(
-                f"{self.name}: upstream gradient shape {g.shape} does not"
-                f" match output shape {(bsz, t, 4 * self.units)}")
+        flat, z, m, bsz, t = self._cached()
+        g = self._upstream(grad_out, (bsz, t, 4 * self.units))
         dz = _act_backward(g.reshape(bsz * t, 4 * self.units), z,
                            self.activation)
         self.db[...] = dz.sum(axis=0).reshape(self.units, 4)
@@ -216,13 +223,8 @@ class Dense(Layer):
         return _apply_act(z, self.activation)
 
     def backward(self, grad_out):
-        self._require_cache()
-        x, z = self._cache
-        g = np.asarray(grad_out, dtype=np.float64)
-        if g.shape != z.shape:
-            raise ShapeError(
-                f"{self.name}: upstream gradient shape {g.shape} does not match"
-                f" output shape {z.shape}")
+        x, z = self._cached()
+        g = self._upstream(grad_out, z.shape)
         dz = _act_backward(g, z, self.activation)
         xf = x.reshape(-1, self.in_features)
         dzf = dz.reshape(-1, self.units)
@@ -259,11 +261,8 @@ class Conv1D(Layer):
         self._zero_grads()
 
     def forward(self, x, training=False):
-        xb = _as_batch(x, self.name)
-        bsz, t, c = xb.shape
-        if c != self.channels:
-            raise ShapeError(
-                f"{self.name}: {c} input channels, expected {self.channels}")
+        xb = _as_batch(x, self.name, self.channels)
+        bsz, t, _ = xb.shape
         if t < self.kernel_size:
             raise ShapeError(
                 f"{self.name}: time length {t} < kernel_size {self.kernel_size}")
@@ -276,13 +275,8 @@ class Conv1D(Layer):
         return y
 
     def backward(self, grad_out):
-        self._require_cache()
-        win, z, bsz, t = self._cache
-        g = np.asarray(grad_out, dtype=np.float64)
-        if g.shape != z.shape:
-            raise ShapeError(
-                f"{self.name}: upstream gradient shape {g.shape} does"
-                f" not match output shape {z.shape}")
+        win, z, bsz, t = self._cached()
+        g = self._upstream(grad_out, z.shape)
         dz = _act_backward(g, z, self.activation)
         self.dw[...] = np.einsum("btf,btck->fkc", dz, win, optimize=True)
         self.db[...] = dz.sum(axis=(0, 1))
@@ -321,11 +315,8 @@ class LSTM(Layer):
         return 1.0 / (1.0 + np.exp(-z))
 
     def forward(self, x, training=False):
-        xb = _as_batch(x, self.name)
-        bsz, t, c = xb.shape
-        if c != self.channels:
-            raise ShapeError(
-                f"{self.name}: {c} input channels, expected {self.channels}")
+        xb = _as_batch(x, self.name, self.channels)
+        bsz, t, _ = xb.shape
         n = self.units
         gates = np.empty((t, bsz, 4 * n))
         tanh_c = np.empty((t, bsz, n))
@@ -349,15 +340,10 @@ class LSTM(Layer):
         return hs[1:].transpose(1, 0, 2)
 
     def backward(self, grad_out):
-        self._require_cache()
-        xb, gates, tanh_c, hs, cells = self._cache
+        xb, gates, tanh_c, hs, cells = self._cached()
         bsz, t, _ = xb.shape
         n = self.units
-        g = np.asarray(grad_out, dtype=np.float64)
-        if g.shape != (bsz, t, n):
-            raise ShapeError(
-                f"{self.name}: upstream gradient shape {g.shape} does"
-                f" not match output shape {(bsz, t, n)}")
+        g = self._upstream(grad_out, (bsz, t, n))
         self.dw[...] = 0.0
         self.du[...] = 0.0
         self.db[...] = 0.0
@@ -422,15 +408,10 @@ class MaxPool1D(Layer):
         return out
 
     def backward(self, grad_out):
-        self._require_cache()
-        beats, bsz, t, f = self._cache
+        beats, bsz, t, f = self._cached()
         p = self.pool_size
         end = t // p * p
-        g = np.asarray(grad_out, dtype=np.float64)
-        if g.shape != (bsz, end // p, f):
-            raise ShapeError(
-                f"{self.name}: upstream gradient shape {g.shape} does"
-                f" not match output shape {(bsz, end // p, f)}")
+        g = self._upstream(grad_out, (bsz, end // p, f))
         dx = np.zeros((bsz, t, f))
         # Slice j won its window where it beats every earlier slice and no
         # later slice beats it; every other position keeps dx's +0.0.
@@ -454,8 +435,7 @@ class Flatten(Layer):
         return x.reshape(len(x), -1)
 
     def backward(self, grad_out):
-        self._require_cache()
-        return np.asarray(grad_out, dtype=np.float64).reshape(self._cache)
+        return np.asarray(grad_out, dtype=np.float64).reshape(self._cached())
 
 
 class Dropout(Layer):
@@ -479,11 +459,6 @@ class Dropout(Layer):
         return x * mask
 
     def backward(self, grad_out):
-        self._require_cache()
-        mask, shape = self._cache
-        g = np.asarray(grad_out, dtype=np.float64)
-        if g.shape != shape:
-            raise ShapeError(
-                f"{self.name}: upstream gradient shape {g.shape} does not"
-                f" match output shape {shape}")
+        mask, shape = self._cached()
+        g = self._upstream(grad_out, shape)
         return g if mask is None else g * mask

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import itertools
 import json
 import math
 import pathlib
@@ -21,7 +22,7 @@ import numpy as np
 
 from .algebra import AlgebraKind
 from .data import SplitPlan, WindowedDataset
-from .model import ModelSpec, build, spec_key
+from .model import Model, ModelSpec, build, spec_key
 from .train import TrainConfig, evaluate, fit, write_history_csv
 
 PROGRESS_FILE = "progress.ndjson"
@@ -80,26 +81,19 @@ def enumerate_specs(grid: Grid, window: int, span: int,
     algebras = grid.algebras if grid.kind == "hyper" else (None,)
     specs: list[ModelSpec] = []
     seen: set[str] = set()
-    for size in grid.sizes:
-        for algebra in algebras:
-            for nd1 in grid.n_dense1:
-                for nd2 in grid.n_dense2:
-                    for units in grid.dense_units:
-                        for act in grid.activations:
-                            if nd1 == 0 and nd2 == 0:
-                                units_c = grid.dense_units[0]
-                                act_c = grid.activations[0]
-                            else:
-                                units_c, act_c = units, act
-                            spec = ModelSpec(
-                                kind=grid.kind, size=size, algebra=algebra,
-                                n_dense1=nd1, n_dense2=nd2,
-                                dense_units=units_c, dense_activation=act_c,
-                                window=window, span=span, seed=seed)
-                            key = spec.canonical()
-                            if key not in seen:
-                                seen.add(key)
-                                specs.append(spec)
+    for size, algebra, nd1, nd2, units, act in itertools.product(
+            grid.sizes, algebras, grid.n_dense1, grid.n_dense2,
+            grid.dense_units, grid.activations):
+        if nd1 == 0 and nd2 == 0:
+            units, act = grid.dense_units[0], grid.activations[0]
+        spec = ModelSpec(kind=grid.kind, size=size, algebra=algebra,
+                         n_dense1=nd1, n_dense2=nd2, dense_units=units,
+                         dense_activation=act, window=window, span=span,
+                         seed=seed)
+        key = spec.canonical()
+        if key not in seen:
+            seen.add(key)
+            specs.append(spec)
     return specs
 
 
@@ -109,6 +103,18 @@ def fold_seeds(base_seed: int, spec: ModelSpec, fold: int) -> tuple[int, int]:
     ss = np.random.SeedSequence([base_seed, spec.stable_id(), fold])
     state = ss.generate_state(2)
     return int(state[0]), int(state[1])
+
+
+def _fit_fold(spec: ModelSpec, dataset: WindowedDataset,
+              train_idx: np.ndarray, config: TrainConfig, base_seed: int,
+              k: int) -> tuple[Model, list[tuple[float, float]]]:
+    """Fit a fresh model of fold ``k`` (the fold count for the winner's
+    retrain) on ``train_idx``, seeded by ``fold_seeds``."""
+    model_seed, shuffle_seed = fold_seeds(base_seed, spec, k)
+    model = build(dataclasses.replace(spec, seed=model_seed))
+    history = fit(model, dataset.x[train_idx], dataset.y[train_idx],
+                  dataclasses.replace(config, seed=shuffle_seed))
+    return model, history
 
 
 def cross_validate(spec: ModelSpec, dataset: WindowedDataset, plan: SplitPlan,
@@ -124,11 +130,9 @@ def cross_validate(spec: ModelSpec, dataset: WindowedDataset, plan: SplitPlan,
     maes = []
     for k, fold in enumerate(plan.folds):
         train_idx = np.setdiff1d(plan.cv_indices, fold)
-        model_seed, shuffle_seed = fold_seeds(base_seed, spec, k)
-        model = build(dataclasses.replace(spec, seed=model_seed))
-        cfg = dataclasses.replace(config, seed=shuffle_seed)
-        fit(model, dataset.x[train_idx], dataset.y[train_idx], cfg)
+        model, _ = _fit_fold(spec, dataset, train_idx, config, base_seed, k)
         maes.append(evaluate(model, dataset.x[fold], dataset.y[fold]))
+        del model  # free its weights and caches before the next fold's fit
     return float(np.mean(maes)), maes
 
 
@@ -153,9 +157,8 @@ def _init_worker(dataset, plan, config, base_seed):
     _WORK["args"] = (dataset, plan, config, base_seed)
 
 
-def _eval_spec(spec_doc: dict) -> dict:
+def _eval_spec(spec: ModelSpec) -> dict:
     dataset, plan, config, base_seed = _WORK["args"]
-    spec = ModelSpec.from_json_dict(spec_doc)
     start = time.perf_counter()
     mean_mae, maes = cross_validate(spec, dataset, plan, config, base_seed)
     seconds = time.perf_counter() - start
@@ -186,7 +189,7 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
     """Evaluate every spec, checkpointing each result as it completes.
 
     ``workers`` processes score configs in parallel; ``None`` means 1, and
-    a count below 1 raises ``ValueError``. Already-recorded specs (keyed by
+    a count below 1 raises ``ValueError``, as does an empty ``specs``. Already-recorded specs (keyed by
     ``spec_key``) are skipped on resume; a ledger line torn by a kill
     mid-write is cut off and its spec scored again, while a complete line
     that does not parse raises. After scoring, the best spec is retrained on
@@ -196,6 +199,8 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
     workers = 1 if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if not specs:
+        raise ValueError("run_search: no configurations to search")
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     progress_path = out / PROGRESS_FILE
@@ -223,13 +228,12 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
         if workers == 1 or len(todo) <= 1:
             _init_worker(dataset, plan, config, base_seed)
             for spec in todo:
-                note(_eval_spec(spec.to_json_dict()))
+                note(_eval_spec(spec))
         else:
             with concurrent.futures.ProcessPoolExecutor(
                     max_workers=workers, initializer=_init_worker,
                     initargs=(dataset, plan, config, base_seed)) as pool:
-                futures = [pool.submit(_eval_spec, s.to_json_dict())
-                           for s in todo]
+                futures = [pool.submit(_eval_spec, s) for s in todo]
                 for fut in concurrent.futures.as_completed(futures):
                     note(fut.result())
 
@@ -243,11 +247,8 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
 
     best = _best_of(canonical)
     spec = ModelSpec.from_json_dict(best["spec"])
-    model_seed, shuffle_seed = fold_seeds(base_seed, spec, len(plan.folds))
-    model = build(dataclasses.replace(spec, seed=model_seed))
-    history = fit(model, dataset.x[plan.cv_indices],
-                  dataset.y[plan.cv_indices],
-                  dataclasses.replace(config, seed=shuffle_seed))
+    model, history = _fit_fold(spec, dataset, plan.cv_indices, config,
+                               base_seed, len(plan.folds))
     holdout_mae = evaluate(model, dataset.x[plan.holdout_indices],
                            dataset.y[plan.holdout_indices])
     model.save(out / BEST_MODEL_FILE)

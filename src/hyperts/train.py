@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -10,43 +11,41 @@ from .model import Model
 from .nn import ShapeError
 
 
-def mse(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean squared error over all elements."""
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and epsilon
+
+
+def _error(pred: np.ndarray, target: np.ndarray, name: str) -> np.ndarray:
+    """``pred - target`` in float64, requiring equal shapes."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
-        raise ShapeError(f"mse: shapes differ, {pred.shape} vs {target.shape}")
-    return float(np.mean((pred - target) ** 2))
+        raise ShapeError(
+            f"{name}: shapes differ, {pred.shape} vs {target.shape}")
+    return pred - target
+
+
+def mse(pred: np.ndarray, target: np.ndarray) -> float:
+    """Mean squared error over all elements."""
+    return float(np.mean(_error(pred, target, "mse") ** 2))
 
 
 def mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """d(mse)/d(pred) = 2 (pred - target) / N."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ShapeError(f"mse: shapes differ, {pred.shape} vs {target.shape}")
-    return 2.0 * (pred - target) / pred.size
+    err = _error(pred, target, "mse")
+    return 2.0 * err / err.size
 
 
 def mae(pred: np.ndarray, target: np.ndarray) -> float:
     """Mean absolute error over all elements."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ShapeError(f"mae: shapes differ, {pred.shape} vs {target.shape}")
-    return float(np.mean(np.abs(pred - target)))
+    return float(np.mean(np.abs(_error(pred, target, "mae"))))
 
 
 class Adam:
     """Bias-corrected Adam; updates the given parameter arrays in place."""
 
-    def __init__(self, params: list[np.ndarray], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[np.ndarray], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -55,17 +54,17 @@ class Adam:
         if len(grads) != len(self.params):
             raise ValueError("gradient list does not match parameter list")
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - BETA1 ** self.t
+        b2c = 1.0 - BETA2 ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
             if g.shape != p.shape:
                 raise ShapeError(
                     f"adam: gradient shape {g.shape} != param shape {p.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,6 +79,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
 
 def fit(model: Model, x: np.ndarray, y: np.ndarray,

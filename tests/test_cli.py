@@ -192,6 +192,24 @@ class TestSearch:
                    + SMOKE) == 1
         assert "workers must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_configs", [0, -1])
+    def test_max_configs_below_one_exits_1(self, ingested, tmp_path,
+                                           max_configs, capsys):
+        out = tmp_path / "cell"
+        assert run(["search", "--class", "cnn", "--data", ingested,
+                    "--out", out, "--epochs", 1, "--sizes", "8",
+                    "--max-configs", max_configs]) == 1
+        assert "max_configs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1"])
+    def test_bad_learning_rate_exits_1(self, ingested, tmp_path, lr, capsys):
+        out = tmp_path / "cell"
+        assert run(["search", "--class", "h", "--data", ingested,
+                    "--out", out, "--lr", lr] + SMOKE) == 1
+        assert "lr must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReport:
     def run_two_cells(self, ingested, tmp_path):

@@ -197,6 +197,15 @@ class TestSerialization:
         for entry in doc["params"]:
             assert len(entry["values"]) == int(np.prod(entry["shape"]))
 
+    def test_load_rejects_wrongly_shaped_entry(self):
+        doc = build(spec_for("hyper", 2, "quaternion", span=8)).to_doc()
+        entry = doc["params"][-1]
+        assert (entry["param"], entry["shape"]) == ("b", [8])
+        entry.update(shape=[1], values=[0.25])
+        with pytest.raises(ValueError, match=r"04_dense\.b: document shape"
+                                             r" \(1,\) != layer shape \(8,\)"):
+            load_model(doc)
+
     def test_spec_json_round_trip(self):
         spec = spec_for("hyper", 4, "coquaternion", n_dense1=1,
                         dense_units=16, dense_activation="relu", window=20,

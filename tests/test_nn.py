@@ -88,11 +88,6 @@ class TestHyperDense:
         lyr = HyperDense(3, 5, AlgebraKind.QUATERNION, rng=rng)
         assert lyr.param_count() == 4 * 5 * 3 + 4 * 5
 
-    def test_rejects_bad_width(self, rng):
-        lyr = HyperDense(2, 1, AlgebraKind.QUATERNION, rng=rng)
-        with pytest.raises(ShapeError):
-            lyr.forward(np.zeros((1, 3, 6)))
-
 
 class TestDense:
     def test_identity(self, rng):
@@ -342,6 +337,17 @@ class TestBatchOnly:
         with pytest.raises(ShapeError, match="batch, time, features"):
             lyr.forward(x[0])
 
+    @pytest.mark.parametrize("make", [
+        lambda r: HyperDense(2, 1, AlgebraKind.QUATERNION, rng=r),
+        lambda r: Conv1D(8, 1, rng=r),
+        lambda r: LSTM(8, 2, rng=r),
+    ], ids=["HyperDense", "Conv1D", "LSTM"])
+    def test_rejects_bad_width(self, make, rng):
+        lyr = make(rng)
+        lyr.forward(np.zeros((1, 3, 8)))
+        with pytest.raises(ShapeError, match="features=8"):
+            lyr.forward(np.zeros((1, 3, 6)))
+
 
 class TestBackwardBeforeForward:
     @pytest.mark.parametrize("make", [
@@ -356,3 +362,24 @@ class TestBackwardBeforeForward:
     def test_raises(self, make, rng):
         with pytest.raises(RuntimeError):
             make(rng).backward(np.zeros(4))
+
+
+class TestUpstreamGradientShape:
+    @pytest.mark.parametrize("make", [
+        lambda r: HyperDense(1, 2, AlgebraKind.QUATERNION, rng=r),
+        lambda r: Dense(4, 3, rng=r),
+        lambda r: Conv1D(4, 3, rng=r),
+        lambda r: LSTM(4, 3, rng=r),
+        lambda r: MaxPool1D(2),
+        lambda r: Dropout(0.5, rng=r),
+    ], ids=["HyperDense", "Dense", "Conv1D", "LSTM", "MaxPool1D", "Dropout"])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_rejects_wrong_shape(self, make, training, rng):
+        lyr = make(rng)
+        out = lyr.forward(rng.normal(size=(2, 6, 4)), training=training)
+        lyr.backward(np.ones_like(out))
+        bad = np.ones(out.shape[:-1] + (out.shape[-1] + 1,))
+        with pytest.raises(ShapeError,
+                           match=r"upstream gradient shape .* does not match"
+                                 r" output shape"):
+            lyr.backward(bad)

@@ -256,6 +256,13 @@ class TestRunSearch:
             run_search([hyper_spec()], ds, plan, tmp_path, config=FAST,
                        workers=workers)
 
+    def test_empty_spec_list_rejected_before_writing(self, tmp_path):
+        ds, plan = small_dataset()
+        out = tmp_path / "cell"
+        with pytest.raises(ValueError, match="no configurations"):
+            run_search([], ds, plan, out, config=FAST)
+        assert not out.exists()
+
     def test_tie_break_prefers_fewer_params(self):
         records = [
             {"spec": {"test_layer": "cnn:16", "n_dense1": 0}, "mean_mae": 0.5,

@@ -125,6 +125,11 @@ class TestFit:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="lr must be finite and > 0"):
+            TrainConfig(lr=lr)
+
     def test_learns_linear_target(self, rng):
         # y = 2x on a Dense-only model
         x = rng.normal(size=(64, 1))
