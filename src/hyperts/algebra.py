@@ -3,7 +3,7 @@
 Three algebras are supported, all with basis (1, i, j, k): quaternions,
 coquaternions (split quaternions), and the Clifford algebra Cl(1,1).
 Each is defined by a dense 4x4x4 structure-constant tensor so that a
-single multiplication routine serves all three.
+one multiplication routine serves all three.
 
 Component order is fixed everywhere as (real, i, j, k).
 """

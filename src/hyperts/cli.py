@@ -25,7 +25,7 @@ from .analysis import all_pair_lag_curves, correlation_matrix, \
 from .data import SeriesTable, Scaler, align, load_csv, load_manifest, \
     make_windows, split, standardize
 from .report import build_report, write_report_csv, write_report_json
-from .search import Grid, SearchResult, enumerate_specs, run_search
+from .search import Grid, enumerate_specs, run_search
 from .train import TrainConfig
 
 DATASET_FILE = "dataset.json"
@@ -138,53 +138,6 @@ def _restrict(values, wanted):
     return type(values)(keep)
 
 
-def run_cell(data: tuple[SeriesTable, Scaler, str], out_dir, label: str,
-             kind: str, window: int, span: int, order: list[str],
-             algebras: list[str] | None = None,
-             sizes: list[int] | None = None,
-             dense_units: list[int] | None = None,
-             max_configs: int | None = None, seed: int = 0,
-             epochs: int = 100, batch_size: int = 32, lr: float = 1e-3,
-             workers: int | None = None) -> SearchResult:
-    """Run the grid search for one (class, window, span, order) cell of a
-    loaded ``(table, scaler, target)`` dataset."""
-    if max_configs is not None and max_configs < 1:
-        raise ValueError(f"max_configs must be >= 1, got {max_configs}")
-    table, scaler, target = data
-    dataset = make_windows(table, target, window, span, order=order,
-                           scaler=scaler)
-    plan = split(dataset, cv_fraction=0.8)
-
-    grid = Grid.default(kind, algebras=algebras)
-    grid = dataclasses.replace(
-        grid, sizes=_restrict(grid.sizes, tuple(sizes or ())),
-        dense_units=_restrict(grid.dense_units, tuple(dense_units or ())))
-    specs = enumerate_specs(grid, window, span, seed)
-    if max_configs is not None:
-        specs = specs[:max_configs]
-
-    config = TrainConfig(epochs=epochs, batch_size=batch_size, seed=seed,
-                         lr=lr)
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = {"class": kind, "window": window, "span": span, "order": order,
-               "seed": seed, "epochs": epochs, "batch_size": batch_size,
-               "lr": lr, "grid_raw_size": grid.raw_size(),
-               "configs": len(specs)}
-    cell = {"label": label, "class": kind, "window": window, "span": span,
-            "order": order, "target": target, "seed": seed,
-            "grid_raw_size": grid.raw_size(), "configs": len(specs),
-            "meta": _meta(seed, payload,
-                          {"epochs": epochs, "batch_size": batch_size,
-                           "lr": lr, "cv_fraction": 0.8,
-                           "folds": len(plan.folds)})}
-    with open(out / "cell.json", "w") as fh:
-        json.dump(cell, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return run_search(specs, dataset, plan, out, config=config,
-                      base_seed=seed, workers=workers)
-
-
 def cmd_search(args) -> int:
     if args.all:
         mode = "with --all"
@@ -198,13 +151,19 @@ def cmd_search(args) -> int:
         raise ValueError(f"{', '.join(mixed)} cannot be used {mode}")
     if not args.all and args.klass is None:
         raise ValueError("--class is required unless --all is given")
+    if args.max_configs is not None and args.max_configs < 1:
+        raise ValueError(f"max_configs must be >= 1, got {args.max_configs}")
+    train = {"epochs": args.epochs, "batch_size": args.batch_size,
+             "lr": args.lr}
+    config = TrainConfig(**train)
     algebras = None if args.algebra in (None, "all") else [args.algebra]
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else None
-    dense_units = [int(s) for s in args.dense_units.split(",")] \
-        if args.dense_units else None
+    sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes \
+        else ()
+    dense_units = tuple(int(s) for s in args.dense_units.split(",")) \
+        if args.dense_units else ()
 
-    data = load_dataset(args.data)
-    default_order = data[0].order
+    table, scaler, target = load_dataset(args.data)
+    default_order = table.order
     if args.all:
         windows = [int(w) for w in args.windows.split(",")] if args.windows \
             else DEFAULT_WINDOWS
@@ -222,16 +181,34 @@ def cmd_search(args) -> int:
         span = DEFAULT_SPAN if args.span is None else args.span
         cells = [(kind, window, span, order)]
 
-    for k, w, s, o in cells:
-        label = _class_label(k, o, default_order)
-        out_dir = pathlib.Path(args.out) / f"{label}_w{w}_s{s}" if args.all \
-            else args.out
-        result = run_cell(
-            data, out_dir, label, k, w, s, o, algebras=algebras,
-            sizes=sizes, dense_units=dense_units,
-            max_configs=args.max_configs, seed=args.seed, epochs=args.epochs,
-            batch_size=args.batch_size, lr=args.lr, workers=args.workers)
-        print(f"{label} window={w} span={s}: best mean MAE"
+    for kind, window, span, order in cells:
+        label = _class_label(kind, order, default_order)
+        out = pathlib.Path(args.out)
+        if args.all:
+            out = out / f"{label}_w{window}_s{span}"
+        dataset = make_windows(table, target, window, span, order=order,
+                               scaler=scaler)
+        plan = split(dataset, cv_fraction=0.8)
+        grid = Grid.default(kind, algebras=algebras)
+        grid = dataclasses.replace(
+            grid, sizes=_restrict(grid.sizes, sizes),
+            dense_units=_restrict(grid.dense_units, dense_units))
+        specs = enumerate_specs(grid, window, span, args.seed)
+        specs = specs[:args.max_configs]
+
+        out.mkdir(parents=True, exist_ok=True)
+        common = {"class": kind, "window": window, "span": span,
+                  "order": order, "seed": args.seed,
+                  "grid_raw_size": grid.raw_size(), "configs": len(specs)}
+        meta = _meta(args.seed, dict(common, **train),
+                     dict(train, cv_fraction=0.8, folds=len(plan.folds)))
+        with open(out / "cell.json", "w") as fh:
+            json.dump(dict(common, label=label, target=target, meta=meta),
+                      fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        result = run_search(specs, dataset, plan, out, config=config,
+                            base_seed=args.seed, workers=args.workers)
+        print(f"{label} window={window} span={span}: best mean MAE"
               f" {result.best['mean_mae']:.4f},"
               f" params {result.best['param_count']},"
               f" holdout MAE {result.holdout_mae:.4f}")
@@ -277,9 +254,9 @@ def make_parser() -> argparse.ArgumentParser:
                    default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--window", type=int, default=None,
-                   help=f"window of a single cell (default {DEFAULT_WINDOW})")
+                   help=f"window of a one-cell search (default {DEFAULT_WINDOW})")
     p.add_argument("--span", type=int, default=None,
-                   help=f"span of a single cell (default {DEFAULT_SPAN})")
+                   help=f"span of a one-cell search (default {DEFAULT_SPAN})")
     p.add_argument("--order", default=None,
                    help="comma-separated ticker permutation")
     p.add_argument("--algebra", default="all",

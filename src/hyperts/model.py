@@ -28,6 +28,14 @@ CONV_ACTIVATION = Activation.RELU
 HYPER_ACTIVATION = Activation.LINEAR
 
 
+def min_window(kind: str) -> int:
+    """Smallest window for which the stack still has >= POOL_SIZE time steps
+    when pooling is reached."""
+    if kind == "cnn":
+        return CONV_KERNEL + POOL_SIZE - 1
+    return POOL_SIZE
+
+
 def spec_key(spec_doc: dict) -> str:
     """Canonical serialization of a spec's JSON dict (the ledger key)."""
     return json.dumps(spec_doc, sort_keys=True, separators=(",", ":"))
@@ -69,8 +77,9 @@ class ModelSpec:
         if self.dense_units < 1:
             raise ValueError("dense_units must be >= 1")
         Activation(self.dense_activation)
-        if self.window < 2:
-            raise ValueError("window must be >= 2 (pooling needs 2 steps)")
+        if self.window < min_window(self.kind):
+            raise ShapeError(f"window {self.window} too small for {self.kind}"
+                             f" stack: minimum is {min_window(self.kind)}")
         if self.span < 1:
             raise ValueError("span must be >= 1")
 
@@ -115,31 +124,30 @@ class ModelSpec:
 
 
 class Model:
-    """An assembled layer stack with uniform forward/backward.
+    """An assembled layer stack over batches of windows: ``forward`` takes
+    ``[batch, window, 4]``, so one window goes in as ``x[None]``.
 
-    The layers take batches only; ``forward`` and ``backward`` also accept a
-    single window (and its 1-D output gradient) by lifting it to a batch of
-    one and returning row 0.
-
-    All trainable reals live in one contiguous float64 vector and all their
-    gradients in a second one, laid out layer by layer in ``_param_names``
-    order. Each layer's named arrays (``w``, ``dw``, ...) are views of their
-    slices, so layers must write into them in place, never rebind them.
-    ``params()`` and ``grads()`` return the two vectors, which lets an
-    optimizer update every parameter with one set of vector operations.
+    ``_param_table`` names each trainable array once, as (layer id, layer,
+    attribute) in serialization order. All trainable reals live in one
+    float64 vector and their gradients in a second, in that order; each
+    layer's named arrays (``w``, ``dw``, ...) are views of their slices, so
+    layers write into them in place and never rebind them. ``params()`` and
+    ``grads()`` return the two vectors, so an optimizer updates every
+    parameter with one set of vector operations.
     """
 
     def __init__(self, spec: ModelSpec, layers: list[Layer]):
         self.spec = spec
         self.layers = layers
-        self.layer_ids = [f"{i:02d}_{lyr.name}" for i, lyr in enumerate(layers)]
-        named = [(lyr, pname) for lyr in layers for pname in lyr._param_names]
+        self._param_table = [(f"{i:02d}_{lyr.name}", lyr, pname)
+                             for i, lyr in enumerate(layers)
+                             for pname in lyr.param_names()]
         self._params = np.concatenate(
-            [getattr(lyr, pname).reshape(-1) for lyr, pname in named])
-        self._grads = np.concatenate(
-            [getattr(lyr, "d" + pname).reshape(-1) for lyr, pname in named])
+            [getattr(lyr, pname).reshape(-1)
+             for _, lyr, pname in self._param_table])
+        self._grads = np.zeros_like(self._params)
         start = 0
-        for lyr, pname in named:
+        for _, lyr, pname in self._param_table:
             shape = getattr(lyr, pname).shape
             stop = start + math.prod(shape)
             setattr(lyr, pname, self._params[start:stop].reshape(shape))
@@ -147,49 +155,47 @@ class Model:
             start = stop
 
     def param_count(self) -> int:
-        return sum(lyr.param_count() for lyr in self.layers)
+        return self._params.size
 
     def params(self) -> list[np.ndarray]:
+        """The parameter vector; ``fit`` calls this once, so it raises
+        ``ValueError`` there if a layer array was rebound off the vectors."""
+        for lid, lyr, pname in self._param_table:
+            for name, vector in ((pname, self._params),
+                                 ("d" + pname, self._grads)):
+                if not np.shares_memory(getattr(lyr, name), vector):
+                    raise ValueError(f"{lid}.{name} was rebound: it no longer"
+                                     f" views the model's vector")
         return [self._params]
 
     def grads(self) -> list[np.ndarray]:
         return [self._grads]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
         expect = (self.spec.window, INPUT_CHANNELS)
-        if x.shape[-2:] != expect or x.ndim not in (2, 3):
-            raise ShapeError(
-                f"model expects input [window={expect[0]}, {expect[1]}] or"
-                f" [batch, {expect[0]}, {expect[1]}], got {x.shape}")
-        out = x if x.ndim == 3 else x[None]
+        if np.ndim(x) != 3 or np.shape(x)[1:] != expect:
+            raise ShapeError(f"model expects input [batch, {expect[0]},"
+                             f" {expect[1]}], got {np.shape(x)}")
         for lyr in self.layers:
-            out = lyr.forward(out, training=training)
-        return out if x.ndim == 3 else out[0]
+            x = lyr.forward(x, training=training)
+        return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Backpropagate a loss gradient; fills every layer's grads and
         returns the gradient with respect to the model input."""
-        g = np.asarray(grad_out, dtype=np.float64)
-        single = g.ndim == 1
-        if single:
-            g = g[None]
         for lyr in reversed(self.layers):
-            g = lyr.backward(g)
-        return g[0] if single else g
+            grad_out = lyr.backward(grad_out)
+        return grad_out
 
     # -- weight (de)serialization ------------------------------------------
 
     def to_doc(self) -> dict:
         entries = []
-        for lid, lyr in zip(self.layer_ids, self.layers):
-            for pname, arr in zip(lyr.param_names(), lyr.params()):
-                entries.append({
-                    "layer": lid,
-                    "param": pname,
-                    "shape": list(arr.shape),
-                    "values": arr.reshape(-1).tolist(),
-                })
+        for lid, lyr, pname in self._param_table:
+            arr = getattr(lyr, pname)
+            entries.append({"layer": lid, "param": pname,
+                            "shape": list(arr.shape),
+                            "values": arr.reshape(-1).tolist()})
         return {"spec": self.spec.to_json_dict(), "params": entries}
 
     def save(self, path) -> None:
@@ -197,35 +203,29 @@ class Model:
             fh.write(json.dumps(self.to_doc()))
 
     def load_params(self, doc: dict) -> None:
+        """Copy a ``to_doc`` document into the model's arrays; raises
+        ``ValueError`` naming any entry missing, misshaped or unmatched."""
         by_key = {(e["layer"], e["param"]): e for e in doc["params"]}
-        for lid, lyr in zip(self.layer_ids, self.layers):
-            for pname, arr in zip(lyr.param_names(), lyr.params()):
-                entry = by_key.pop((lid, pname))
-                shape = tuple(entry["shape"])
-                if shape != arr.shape:
-                    raise ValueError(f"{lid}.{pname}: document shape {shape}"
-                                     f" != layer shape {arr.shape}")
-                vals = np.asarray(entry["values"], dtype=np.float64)
-                arr[...] = vals.reshape(shape)
+        for lid, lyr, pname in self._param_table:
+            arr = getattr(lyr, pname)
+            entry = by_key.pop((lid, pname), None)
+            if entry is None:
+                raise ValueError(f"{lid}.{pname}: no entry in the document")
+            shape = tuple(entry["shape"])
+            if shape != arr.shape:
+                raise ValueError(f"{lid}.{pname}: document shape {shape}"
+                                 f" != layer shape {arr.shape}")
+            vals = np.asarray(entry["values"], dtype=np.float64)
+            if vals.size != arr.size:
+                raise ValueError(f"{lid}.{pname}: document has {vals.size}"
+                                 f" values for shape {shape}")
+            arr[...] = vals.reshape(shape)
         if by_key:
             raise ValueError(f"unmatched parameters in document: {list(by_key)}")
 
 
-def min_window(kind: str) -> int:
-    """Smallest window for which the stack still has >= POOL_SIZE time steps
-    when pooling is reached."""
-    if kind == "cnn":
-        return CONV_KERNEL + POOL_SIZE - 1
-    return POOL_SIZE
-
-
 def build(spec: ModelSpec) -> Model:
     """Assemble the testing stack for a spec; deterministic given spec.seed."""
-    need = min_window(spec.kind)
-    if spec.window < need:
-        raise ShapeError(
-            f"window {spec.window} too small for {spec.kind} stack:"
-            f" minimum is {need}")
     ss = np.random.SeedSequence(spec.seed)
     init_ss, drop_ss = ss.spawn(2)
     rng = np.random.default_rng(init_ss)
@@ -262,14 +262,12 @@ def build(spec: ModelSpec) -> Model:
     return Model(spec, layers)
 
 
-def load_model(doc_or_path) -> Model:
-    """Rebuild a model from a serialized weight document (path or dict)."""
-    if isinstance(doc_or_path, (str, bytes)) or hasattr(doc_or_path, "__fspath__"):
-        with open(doc_or_path) as fh:
-            doc = json.load(fh)
-    else:
-        doc = doc_or_path
-    spec = ModelSpec.from_json_dict(doc["spec"])
-    model = build(spec)
+def load_model(path) -> Model:
+    """Rebuild a model from the weight document ``Model.save`` wrote to
+    ``path``. A document already in memory loads with
+    ``build(ModelSpec.from_json_dict(doc["spec"])).load_params(doc)``."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    model = build(ModelSpec.from_json_dict(doc["spec"]))
     model.load_params(doc)
     return model

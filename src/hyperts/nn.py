@@ -3,13 +3,12 @@
 All arithmetic is float64. Sequence layers (HyperDense, Conv1D, LSTM,
 MaxPool1D) take only batches shaped [batch, time, features]; Flatten keeps
 the leading batch axis; Dense and Dropout apply elementwise or along the
-last axis of any input. A single window is lifted to a batch of one by
-``Model.forward``, not by the layers. Every layer caches what its backward
-pass needs. A layer names its trainable arrays once, in ``_param_names``;
-the gradient of attribute ``<name>`` lives at ``d<name>`` (same shape) and
-is filled by ``backward()``. Once the layer is part of a ``Model``, both
-arrays are views into the model's parameter and gradient vectors, so
-``backward()`` writes gradients in place and nothing may rebind them.
+last axis of any input. Every layer caches what its backward pass needs.
+A layer names its trainable arrays once, in ``_param_names``; the gradient
+of attribute ``<name>`` lives at ``d<name>`` (same shape) and is filled by
+``backward()``. Once the layer is part of a ``Model``, both arrays are
+views into the model's parameter and gradient vectors, so ``backward()``
+writes gradients in place and nothing may rebind them.
 """
 
 from __future__ import annotations

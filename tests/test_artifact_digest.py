@@ -1,6 +1,8 @@
 """tools/artifact_digest.py prints one digest per canonical artifact."""
 
 import hashlib
+import itertools
+import json
 import os
 import pathlib
 import re
@@ -25,8 +27,12 @@ def run_script(out):
 def expected_paths():
     paths = {f"fixture/{t}.csv" for t in ("T0", "T1", "T2", "T3")}
     paths |= {"fixture/manifest.json", "data/dataset.json", "data/table.csv",
-              "report.csv", "report.json"}
-    cells = ["h", "cnn", "lstm"] + [
+              "report.csv", "report.json",
+              "data/correlations/correlation_matrix.csv"}
+    paths |= {f"data/correlations/lag_{a}_{b}.csv"
+              for a, b in itertools.combinations_with_replacement(
+                  ("T0", "T1", "T2", "T3"), 2)}
+    cells = ["h", "cnn", "lstm", "h_algebras", "h_resumed"] + [
         f"grid/{label}_w{w}_s{s}" for label in ("CNN", "LSTM", "H", "HR")
         for w in (10, 20) for s in (1, 5)]
     paths |= {f"{cell}/{name}" for cell in cells for name in CELL_FILES}
@@ -44,6 +50,19 @@ def test_one_digest_per_artifact(tmp_path):
     digest, path = lines[0].split("  ", 1)
     assert digest == hashlib.sha256((out / path).read_bytes()).hexdigest()
     assert (out / "h" / "progress.ndjson").exists()
+
+    by_path = {p: d for d, p in (line.split("  ", 1) for line in lines)}
+    for name in CELL_FILES:
+        assert by_path[f"h_resumed/{name}"] == by_path[f"h/{name}"], name
+    # the resumed run scored only the three configs its ledger lacked
+    ledger = (out / "h_resumed" / "progress.ndjson").read_text()
+    assert len(ledger.splitlines()) == 6
+    specs = [json.loads(line)["spec"] for line in
+             (out / "h_algebras" / "results.ndjson").read_text().splitlines()]
+    assert len(specs) == 21
+    assert {s["test_layer"] for s in specs} == {
+        "hyper:1:quaternion", "hyper:1:coquaternion", "hyper:1:cl11"}
+    assert {s["n_dense1"] for s in specs} == {0, 1}
 
     again = run_script(out)
     assert again.returncode == 2 and again.stdout == ""

@@ -210,6 +210,23 @@ class TestSearch:
         assert "lr must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_epochs_exits_1(self, ingested, tmp_path, capsys):
+        out = tmp_path / "cell"
+        assert run(["search", "--class", "h", "--data", ingested,
+                    "--out", out, "--epochs", 0, "--max-configs", 1]) == 1
+        assert "epochs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_small_window_exits_1_before_writing(self, ingested,
+                                                     tmp_path, capsys):
+        out = tmp_path / "cell"
+        assert run(["search", "--class", "cnn", "--data", ingested,
+                    "--out", out, "--window", 3, "--sizes", "8",
+                    "--max-configs", 1, "--epochs", 1]) == 1
+        assert "window 3 too small for cnn stack: minimum is 4" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReport:
     def run_two_cells(self, ingested, tmp_path):

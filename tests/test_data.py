@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import synthetic_table
 from hyperts.data import (SeriesTable, align, load_csv, load_manifest,
@@ -245,6 +246,50 @@ class TestSplit:
             split(self.make_ds(100), cv_fraction=1.0)
         with pytest.raises(ValueError):
             split(self.make_ds(100), cv_fraction=0.0)
+
+
+class TestWindowAndSplitProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(window=st.integers(1, 12), span=st.integers(1, 6),
+           extra=st.integers(0, 30),
+           order=st.permutations(["C0", "C1", "C2", "C3"]),
+           target=st.sampled_from(["C0", "C1", "C2", "C3"]))
+    def test_windows_are_consecutive_rows(self, window, span, extra, order,
+                                          target):
+        length = window + span + extra
+        table = tiny_table(np.arange(4.0 * length).reshape(length, 4))
+        ds = make_windows(table, target, window, span, order=order)
+        assert len(ds) == extra + 1
+        cols = [table.order.index(name) for name in order]
+        tgt = table.column(target)
+        for i in range(len(ds)):
+            np.testing.assert_array_equal(
+                ds.x[i], table.values[i:i + window][:, cols])
+            np.testing.assert_array_equal(
+                ds.y[i], tgt[i + window:i + window + span])
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(4, 300), folds=st.integers(2, 12),
+           cv_fraction=st.floats(0.05, 0.95))
+    def test_split_is_chronological_and_tiles_cv(self, n, folds,
+                                                 cv_fraction):
+        assume(math.floor(cv_fraction * n) >= folds)
+        table = tiny_table(np.arange(4.0 * (n + 3)).reshape(-1, 4))
+        ds = make_windows(table, "C0", window=3, span=1)
+        assert len(ds) == n
+        plan = split(ds, cv_fraction=cv_fraction, folds=folds)
+        assert plan.cv_indices.max() < plan.holdout_indices.min()
+        np.testing.assert_array_equal(
+            np.concatenate([plan.cv_indices, plan.holdout_indices]),
+            np.arange(n))
+        assert len(plan.folds) == folds
+        np.testing.assert_array_equal(np.concatenate(plan.folds),
+                                      plan.cv_indices)
+        for fold in plan.folds:
+            np.testing.assert_array_equal(
+                fold, np.arange(fold[0], fold[0] + len(fold)))
+        sizes = [len(fold) for fold in plan.folds]
+        assert max(sizes) - min(sizes) <= 1
 
 
 class TestManifest:

@@ -79,8 +79,8 @@ class TestForward:
         for kind, size, alg in [("cnn", 8, None), ("lstm", 4, None),
                                 ("hyper", 2, "cl11")]:
             model = build(spec_for(kind, size, alg, span=5))
-            out = model.forward(rng.normal(size=(10, 4)))
-            assert out.shape == (5,)
+            out = model.forward(rng.normal(size=(1, 10, 4)))
+            assert out.shape == (1, 5)
             out = model.forward(rng.normal(size=(7, 10, 4)))
             assert out.shape == (7, 5)
 
@@ -88,12 +88,12 @@ class TestForward:
         model = build(spec_for("hyper", 2, "quaternion"))
         model.layers[-1].w[...] = 0.0
         model.layers[-1].b[...] = 0.0
-        out = model.forward(rng.normal(size=(10, 4)))
-        np.testing.assert_array_equal(out, np.zeros(1))
+        out = model.forward(rng.normal(size=(1, 10, 4)))
+        np.testing.assert_array_equal(out, np.zeros((1, 1)))
 
     def test_inference_is_deterministic(self, rng):
         model = build(spec_for("cnn", 8, n_dense2=1))
-        x = rng.normal(size=(10, 4))
+        x = rng.normal(size=(1, 10, 4))
         np.testing.assert_array_equal(model.forward(x), model.forward(x))
 
     def test_matches_manual_layer_composition(self, rng):
@@ -105,50 +105,38 @@ class TestForward:
             want = lyr.forward(want, training=False)
         np.testing.assert_array_equal(model.forward(x), want)
 
-    @pytest.mark.parametrize("kind,size,alg", [
-        ("cnn", 4, None), ("lstm", 3, None), ("hyper", 2, "cl11")])
-    def test_single_window_is_batch_of_one(self, kind, size, alg, rng):
-        model = build(spec_for(kind, size, alg, n_dense1=1, n_dense2=1,
-                               span=3))
-        x = rng.normal(size=(4, 10, 4))
-        np.testing.assert_array_equal(model.forward(x[0]),
-                                      model.forward(x[:1])[0])
-
     def test_rejects_wrong_shape(self, rng):
         model = build(spec_for("cnn", 8))
         with pytest.raises(ShapeError):
-            model.forward(rng.normal(size=(9, 4)))
+            model.forward(rng.normal(size=(1, 9, 4)))
         with pytest.raises(ShapeError):
-            model.forward(rng.normal(size=(10, 3)))
+            model.forward(rng.normal(size=(1, 10, 3)))
+
+    def test_rejects_single_window(self, rng):
+        model = build(spec_for("cnn", 8))
+        with pytest.raises(ShapeError, match=r"\[batch, 10, 4\].*\(10, 4\)"):
+            model.forward(rng.normal(size=(10, 4)))
 
 
 class TestBackward:
     def test_backward_before_forward_rejected(self):
         model = build(spec_for("cnn", 8))
         with pytest.raises(RuntimeError):
-            model.backward(np.zeros(1))
+            model.backward(np.zeros((1, 1)))
 
     def test_zero_upstream_gives_zero_grads(self, rng):
         model = build(spec_for("hyper", 2, "coquaternion", n_dense2=1))
-        model.forward(rng.normal(size=(10, 4)))
-        model.backward(np.zeros(1))
+        model.forward(rng.normal(size=(1, 10, 4)))
+        model.backward(np.zeros((1, 1)))
         for g in model.grads():
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
-    @pytest.mark.parametrize("kind,size,alg", [
-        ("cnn", 4, None), ("lstm", 3, None), ("hyper", 2, "quaternion")])
-    def test_single_window_backward_is_batch_of_one(self, kind, size, alg,
-                                                     rng):
-        model = build(spec_for(kind, size, alg, n_dense1=1, span=2))
-        x = rng.normal(size=(1, 10, 4))
-        upstream = rng.normal(size=(1, 2))
-        model.forward(x)
-        dx = model.backward(upstream)
-        want = [g.copy() for g in model.grads()]
-        model.forward(x[0])
-        np.testing.assert_array_equal(model.backward(upstream[0]), dx[0])
-        for got, g in zip(model.grads(), want):
-            np.testing.assert_array_equal(got, g)
+    def test_rejects_single_window_gradient(self, rng):
+        model = build(spec_for("lstm", 3, span=2))
+        model.forward(rng.normal(size=(1, 10, 4)))
+        with pytest.raises(ShapeError, match=r"\(2,\) does not match output"
+                                             r" shape \(1, 2\)"):
+            model.backward(rng.normal(size=2))
 
     def test_grad_shapes_match_param_shapes(self, rng):
         model = build(spec_for("lstm", 3, n_dense1=1))
@@ -197,14 +185,41 @@ class TestSerialization:
         for entry in doc["params"]:
             assert len(entry["values"]) == int(np.prod(entry["shape"]))
 
-    def test_load_rejects_wrongly_shaped_entry(self):
+    @staticmethod
+    def saved_doc(tmp_path, doc):
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_load_rejects_wrongly_shaped_entry(self, tmp_path):
         doc = build(spec_for("hyper", 2, "quaternion", span=8)).to_doc()
         entry = doc["params"][-1]
         assert (entry["param"], entry["shape"]) == ("b", [8])
         entry.update(shape=[1], values=[0.25])
         with pytest.raises(ValueError, match=r"04_dense\.b: document shape"
                                              r" \(1,\) != layer shape \(8,\)"):
-            load_model(doc)
+            load_model(self.saved_doc(tmp_path, doc))
+
+    def test_load_rejects_wrong_value_count(self, tmp_path):
+        doc = build(spec_for("hyper", 2, "quaternion", span=8)).to_doc()
+        doc["params"][-1]["values"] = [0.25] * 3
+        with pytest.raises(ValueError, match=r"04_dense\.b: document has 3"
+                                             r" values for shape \(8,\)"):
+            load_model(self.saved_doc(tmp_path, doc))
+
+    def test_load_rejects_missing_entry(self, tmp_path):
+        doc = build(spec_for("hyper", 2, "quaternion", span=8)).to_doc()
+        doc["params"].pop()
+        with pytest.raises(ValueError,
+                           match=r"04_dense\.b: no entry in the document"):
+            load_model(self.saved_doc(tmp_path, doc))
+
+    def test_load_rejects_unmatched_entry(self, tmp_path):
+        doc = build(spec_for("hyper", 2, "quaternion")).to_doc()
+        doc["params"].append(dict(doc["params"][-1], layer="05_dense"))
+        with pytest.raises(ValueError, match=r"unmatched parameters in"
+                           r" document: \[\('05_dense', 'b'\)\]"):
+            load_model(self.saved_doc(tmp_path, doc))
 
     def test_spec_json_round_trip(self):
         spec = spec_for("hyper", 4, "coquaternion", n_dense1=1,
@@ -267,3 +282,12 @@ class TestParameterVectors:
             TrainConfig(epochs=2, batch_size=8, seed=1))
         assert_vectors_linked(model)
         assert not np.array_equal(model.params()[0], before)
+
+    @pytest.mark.parametrize("name", ["w", "dw"])
+    def test_fit_rejects_rebound_array(self, name, rng):
+        model = build(spec_for("hyper", 2, "quaternion"))
+        last = model.layers[-1]
+        setattr(last, name, getattr(last, name).copy())
+        with pytest.raises(ValueError, match=rf"04_dense\.{name} was rebound"):
+            fit(model, rng.normal(size=(8, 10, 4)), rng.normal(size=(8, 1)),
+                TrainConfig(epochs=2, batch_size=4))

@@ -84,6 +84,19 @@ class TestHyperDense:
             lyr = HyperDense(2, 3, kind, activation=Activation.RELU, rng=rng)
             check_layer_gradients(lyr, rng.normal(size=(2, 3, 8)), rng)
 
+    @settings(max_examples=40, deadline=None)
+    @given(table=hnp.arrays(np.float64, (4, 4, 4),
+                            elements=st.floats(-2.0, 2.0, width=64)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_gradients_under_any_structure_tensor(self, table, seed):
+        # backward contracts ``table`` by hand rather than through
+        # left_mul_matrix, so it must agree for every bilinear product, not
+        # only the three algebras' sparse +-1 tables
+        rng = np.random.default_rng(seed)
+        lyr = HyperDense(2, 3, AlgebraKind.QUATERNION, rng=rng)
+        lyr.table = table
+        check_layer_gradients(lyr, rng.normal(size=(2, 3, 8)), rng)
+
     def test_param_count(self, rng):
         lyr = HyperDense(3, 5, AlgebraKind.QUATERNION, rng=rng)
         assert lyr.param_count() == 4 * 5 * 3 + 4 * 5

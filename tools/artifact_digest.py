@@ -5,10 +5,13 @@ Usage::
     python tools/artifact_digest.py OUT_DIR
 
 ``OUT_DIR`` must be empty or absent. The script writes a seeded four-ticker
-CSV fixture, then runs in this process ``hyperts ingest``, three
-single-cell searches (H, CNN and LSTM), one ``search --all`` grid of 16
-cells and its report, all into ``OUT_DIR``. It prints one
-``sha256  relative/path`` line per file written, sorted by path, except
+CSV fixture, then runs in this process ``hyperts ingest``, ``correlate``,
+single-cell searches, one ``search --all`` grid of 16 cells and its report,
+all into ``OUT_DIR``. The single cells are an H, a CNN and an LSTM cell; an
+H cell of all three algebras with and without the per-step Dense; and
+``h_resumed``, the H cell again, stopped after three configs and then
+resumed from its ledger, whose files must equal those of ``h``. It prints
+one ``sha256  relative/path`` line per file written, sorted by path, except
 ``progress.ndjson`` (a timing ledger, not a canonical artifact). The CLI's
 own messages go to standard error.
 
@@ -39,10 +42,15 @@ TICKERS = ("T0", "T1", "T2", "T3")
 ROWS = 200
 SEED = 7
 
+# (output directory, --class, extra flags); a directory named twice is
+# searched twice, the second run resuming from the first one's ledger
 SINGLE_CELLS = (
-    ("h", ["--max-configs", "6"]),
-    ("cnn", ["--sizes", "8", "--max-configs", "4"]),
-    ("lstm", ["--sizes", "8", "--max-configs", "4"]),
+    ("h", "h", ["--max-configs", "6"]),
+    ("cnn", "cnn", ["--sizes", "8", "--max-configs", "4"]),
+    ("lstm", "lstm", ["--sizes", "8", "--max-configs", "4"]),
+    ("h_algebras", "h", ["--sizes", "1", "--dense-units", "8"]),
+    ("h_resumed", "h", ["--max-configs", "3"]),
+    ("h_resumed", "h", ["--max-configs", "6"]),
 )
 GRID = ["--windows", "10,20", "--spans", "1,5", "--sizes", "8",
         "--dense-units", "32", "--max-configs", "2", "--epochs", "1"]
@@ -84,10 +92,11 @@ def run_all(out: pathlib.Path) -> None:
     fixture.mkdir(parents=True)
     data = out / "data"
     commands = [["ingest", "--manifest", write_fixture(fixture),
-                 "--out", data]]
-    for klass, extra in SINGLE_CELLS:
+                 "--out", data],
+                ["correlate", "--data", data]]
+    for name, klass, extra in SINGLE_CELLS:
         commands.append(["search", "--class", klass, "--data", data,
-                         "--out", out / klass, "--epochs", "2",
+                         "--out", out / name, "--epochs", "2",
                          "--seed", "3"] + extra)
     commands.append(["search", "--all", "--data", data, "--out",
                      out / "grid", "--seed", "3"] + GRID)
