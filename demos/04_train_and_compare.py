@@ -56,5 +56,5 @@ for spec in specs:
           f"   (final train loss {history[-1][0]:.4f})")
 
 print("\nThe hypercomplex model reaches a comparable score with a fraction"
-      "\nof the weights; predictions can be mapped back to original units"
-      "\nwith ds.scaler.inverse_column('T0', prediction).")
+      "\nof the weights; predictions are in standardized units, and"
+      "\nds.scaler holds each column's mean and std.")

@@ -51,10 +51,6 @@ class Scaler:
     def inverse(self, values: np.ndarray) -> np.ndarray:
         return values * self.std + self.mean
 
-    def inverse_column(self, name: str, values: np.ndarray) -> np.ndarray:
-        i = self.order.index(name)
-        return values * self.std[i] + self.mean[i]
-
     def to_json_dict(self) -> dict:
         return {"order": self.order, "mean": self.mean.tolist(),
                 "std": self.std.tolist()}

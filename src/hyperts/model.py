@@ -265,9 +265,13 @@ def build(spec: ModelSpec) -> Model:
 def load_model(path) -> Model:
     """Rebuild a model from the weight document ``Model.save`` wrote to
     ``path``. A document already in memory loads with
-    ``build(ModelSpec.from_json_dict(doc["spec"])).load_params(doc)``."""
+    ``build(ModelSpec.from_json_dict(doc["spec"])).load_params(doc)``.
+    A document without ``spec`` or ``params`` raises ``ValueError``."""
     with open(path) as fh:
         doc = json.load(fh)
+    missing = [key for key in ("spec", "params") if key not in doc]
+    if missing:
+        raise ValueError(f"{path}: no {' or '.join(missing)} in the document")
     model = build(ModelSpec.from_json_dict(doc["spec"]))
     model.load_params(doc)
     return model

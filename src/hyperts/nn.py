@@ -147,8 +147,8 @@ class HyperDense(Layer):
     _param_names = ("w", "b")
 
     def __init__(self, in_h: int, units: int, kind: AlgebraKind,
-                 activation: Activation = Activation.LINEAR,
-                 rng: np.random.Generator | None = None):
+                 activation: Activation = Activation.LINEAR, *,
+                 rng: np.random.Generator):
         if in_h < 1 or units < 1:
             raise ValueError("in_h and units must be >= 1")
         self.name = f"hyperdense[{AlgebraKind(kind).value}]"
@@ -157,7 +157,6 @@ class HyperDense(Layer):
         self.kind = AlgebraKind(kind)
         self.table = table_for(self.kind)
         self.activation = Activation(activation)
-        rng = rng or np.random.default_rng()
         # fan computed on real widths; each of the 4 components initialized
         # as an independent real
         self.w = glorot_uniform(rng, 4 * in_h, 4 * units, (units, in_h, 4))
@@ -200,13 +199,12 @@ class Dense(Layer):
     _param_names = ("w", "b")
 
     def __init__(self, in_features: int, units: int,
-                 activation: Activation = Activation.LINEAR,
-                 rng: np.random.Generator | None = None):
+                 activation: Activation = Activation.LINEAR, *,
+                 rng: np.random.Generator):
         self.name = "dense"
         self.in_features = in_features
         self.units = units
         self.activation = Activation(activation)
-        rng = rng or np.random.default_rng()
         self.w = glorot_uniform(rng, in_features, units, (in_features, units))
         self.b = np.zeros(units, dtype=np.float64)
         self._zero_grads()
@@ -242,8 +240,8 @@ class Conv1D(Layer):
     _param_names = ("w", "b")
 
     def __init__(self, channels: int, filters: int, kernel_size: int = 3,
-                 activation: Activation = Activation.RELU,
-                 rng: np.random.Generator | None = None):
+                 activation: Activation = Activation.RELU, *,
+                 rng: np.random.Generator):
         if kernel_size < 1:
             raise ValueError("kernel_size must be >= 1")
         self.name = "conv1d"
@@ -251,7 +249,6 @@ class Conv1D(Layer):
         self.filters = filters
         self.kernel_size = kernel_size
         self.activation = Activation(activation)
-        rng = rng or np.random.default_rng()
         fan_in = kernel_size * channels
         fan_out = kernel_size * filters
         self.w = glorot_uniform(rng, fan_in, fan_out,
@@ -298,12 +295,10 @@ class LSTM(Layer):
 
     _param_names = ("w", "u", "b")
 
-    def __init__(self, channels: int, units: int,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, channels: int, units: int, *, rng: np.random.Generator):
         self.name = "lstm"
         self.channels = channels
         self.units = units
-        rng = rng or np.random.default_rng()
         self.w = glorot_uniform(rng, channels, 4 * units, (channels, 4 * units))
         self.u = glorot_uniform(rng, units, 4 * units, (units, 4 * units))
         self.b = np.zeros(4 * units, dtype=np.float64)
@@ -434,19 +429,21 @@ class Flatten(Layer):
         return x.reshape(len(x), -1)
 
     def backward(self, grad_out):
-        return np.asarray(grad_out, dtype=np.float64).reshape(self._cached())
+        shape = self._cached()
+        g = self._upstream(grad_out, (shape[0], math.prod(shape[1:])))
+        return g.reshape(shape)
 
 
 class Dropout(Layer):
     """Inverted dropout: zero each element with probability ``rate`` during
     training, scale survivors by 1/(1-rate); identity at inference."""
 
-    def __init__(self, rate: float = 0.5, rng: np.random.Generator | None = None):
+    def __init__(self, rate: float = 0.5, *, rng: np.random.Generator):
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.name = "dropout"
         self.rate = rate
-        self.rng = rng or np.random.default_rng()
+        self.rng = rng
 
     def forward(self, x, training=False):
         x = np.asarray(x, dtype=np.float64)

@@ -20,11 +20,13 @@ def _label_order(labels) -> list[str]:
     return known + extra
 
 
-def collect_cells(results_dir) -> list[dict]:
-    """Find every completed cell (cell.json + best.json) under a directory."""
-    root = pathlib.Path(results_dir)
-    cells = []
-    for cell_path in sorted(root.glob("**/cell.json")):
+def build_report(results_dir) -> dict:
+    """Window x span grid of each label's best, read from every completed
+    cell (``cell.json`` plus ``best.json``) under ``results_dir``; raises
+    ``ValueError`` if there is none or two share a label, window and span."""
+    grid: dict[tuple[int, int], dict] = {}
+    dirs: dict[tuple[str, int, int], pathlib.Path] = {}
+    for cell_path in sorted(pathlib.Path(results_dir).glob("**/cell.json")):
         best_path = cell_path.parent / "best.json"
         if not best_path.exists():
             continue
@@ -32,31 +34,16 @@ def collect_cells(results_dir) -> list[dict]:
             cell = json.load(fh)
         with open(best_path) as fh:
             best = json.load(fh)
-        cells.append({
-            "label": cell["label"],
-            "window": int(cell["window"]),
-            "span": int(cell["span"]),
-            "order": cell.get("order"),
-            "best": best,
-        })
-    return cells
-
-
-def build_report(results_dir) -> dict:
-    cells = collect_cells(results_dir)
-    if not cells:
+        label = cell["label"]
+        window, span = int(cell["window"]), int(cell["span"])
+        other = dirs.setdefault((label, window, span), cell_path.parent)
+        if other != cell_path.parent:
+            raise ValueError(f"{other} and {cell_path.parent} are both {label}"
+                             f" cells at window {window}, span {span}")
+        grid.setdefault((window, span), {})[label] = {k: best[k] for k in (
+            "mean_mae", "holdout_mae", "param_count", "spec")}
+    if not grid:
         raise ValueError(f"no completed search cells under {results_dir}")
-    grid: dict[tuple[int, int], dict] = {}
-    for cell in cells:
-        key = (cell["window"], cell["span"])
-        entry = grid.setdefault(key, {})
-        best = cell["best"]
-        entry[cell["label"]] = {
-            "mean_mae": best["mean_mae"],
-            "holdout_mae": best["holdout_mae"],
-            "param_count": best["param_count"],
-            "spec": best["spec"],
-        }
     out_cells = []
     for (window, span) in sorted(grid):
         classes = grid[(window, span)]
@@ -67,8 +54,7 @@ def build_report(results_dir) -> dict:
             "classes": classes,
             "min_params_label": min_label,
         })
-    labels = _label_order({lbl for cell in out_cells
-                           for lbl in cell["classes"]})
+    labels = _label_order({label for label, _, _ in dirs})
     return {"labels": labels, "cells": out_cells}
 
 

@@ -148,17 +148,8 @@ def _best_of(records: list[dict]) -> dict:
     return best
 
 
-# Worker-side dataset/plan, installed once per process by the pool
-# initializer so tasks only carry the spec.
-_WORK = {}
-
-
-def _init_worker(dataset, plan, config, base_seed):
-    _WORK["args"] = (dataset, plan, config, base_seed)
-
-
-def _eval_spec(spec: ModelSpec) -> dict:
-    dataset, plan, config, base_seed = _WORK["args"]
+def _eval_spec(spec: ModelSpec, dataset: WindowedDataset, plan: SplitPlan,
+               config: TrainConfig, base_seed: int) -> dict:
     start = time.perf_counter()
     mean_mae, maes = cross_validate(spec, dataset, plan, config, base_seed)
     seconds = time.perf_counter() - start
@@ -177,10 +168,6 @@ class SearchResult:
     best: dict
     holdout_mae: float
 
-    @property
-    def best_spec(self) -> ModelSpec:
-        return ModelSpec.from_json_dict(self.best["spec"])
-
 
 def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
                plan: SplitPlan, out_dir,
@@ -188,13 +175,14 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
                workers: int | None = None) -> SearchResult:
     """Evaluate every spec, checkpointing each result as it completes.
 
-    ``workers`` processes score configs in parallel; ``None`` means 1, and
-    a count below 1 raises ``ValueError``, as does an empty ``specs``. Already-recorded specs (keyed by
-    ``spec_key``) are skipped on resume; a ledger line torn by a kill
-    mid-write is cut off and its spec scored again, while a complete line
-    that does not parse raises. After scoring, the best spec is retrained on
-    the full CV block and scored on the holdout block; its weights are saved
-    alongside the ledgers.
+    ``workers`` processes score configs in parallel, each task carrying its
+    spec, dataset, plan, config and seed; ``None`` means 1, and a count
+    below 1 raises ``ValueError``, as does an empty ``specs``. Specs already
+    in the ledger (keyed by ``spec_key``) are skipped on resume; a ledger
+    line torn by a kill mid-write is cut off and its spec scored again,
+    while a complete line that does not parse raises. After scoring, the
+    best spec is retrained on the full CV block and scored on the holdout
+    block; its weights are saved alongside the ledgers.
     """
     workers = 1 if workers is None else workers
     if workers < 1:
@@ -225,15 +213,13 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
             ledger.flush()
             done[spec_key(record["spec"])] = record
 
+        args = (dataset, plan, config, base_seed)
         if workers == 1 or len(todo) <= 1:
-            _init_worker(dataset, plan, config, base_seed)
             for spec in todo:
-                note(_eval_spec(spec))
+                note(_eval_spec(spec, *args))
         else:
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=workers, initializer=_init_worker,
-                    initargs=(dataset, plan, config, base_seed)) as pool:
-                futures = [pool.submit(_eval_spec, s) for s in todo]
+            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+                futures = [pool.submit(_eval_spec, s, *args) for s in todo]
                 for fut in concurrent.futures.as_completed(futures):
                     note(fut.result())
 

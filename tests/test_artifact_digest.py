@@ -32,7 +32,7 @@ def expected_paths():
     paths |= {f"data/correlations/lag_{a}_{b}.csv"
               for a, b in itertools.combinations_with_replacement(
                   ("T0", "T1", "T2", "T3"), 2)}
-    cells = ["h", "cnn", "lstm", "h_algebras", "h_resumed"] + [
+    cells = ["h", "cnn", "lstm", "h_algebras", "h_resumed", "h_workers"] + [
         f"grid/{label}_w{w}_s{s}" for label in ("CNN", "LSTM", "H", "HR")
         for w in (10, 20) for s in (1, 5)]
     paths |= {f"{cell}/{name}" for cell in cells for name in CELL_FILES}
@@ -54,6 +54,7 @@ def test_one_digest_per_artifact(tmp_path):
     by_path = {p: d for d, p in (line.split("  ", 1) for line in lines)}
     for name in CELL_FILES:
         assert by_path[f"h_resumed/{name}"] == by_path[f"h/{name}"], name
+        assert by_path[f"h_workers/{name}"] == by_path[f"h/{name}"], name
     # the resumed run scored only the three configs its ledger lacked
     ledger = (out / "h_resumed" / "progress.ndjson").read_text()
     assert len(ledger.splitlines()) == 6

@@ -288,3 +288,22 @@ class TestReport:
                 if not l.startswith("#")]
         assert len(rows) == 17  # header + 16 cells
         assert all(row.endswith(",H") for row in rows[1:])  # fewest params
+
+    def test_two_cells_with_same_label_window_span_rejected(self, tmp_path,
+                                                            capsys):
+        res = tmp_path / "results"
+        for sub, params in (("a", 100), ("b", 200)):
+            d = res / sub / "H_w10_s1"
+            d.mkdir(parents=True)
+            (d / "cell.json").write_text(json.dumps(
+                {"label": "H", "window": 10, "span": 1,
+                 "order": ["A", "B", "C", "D"]}))
+            (d / "best.json").write_text(json.dumps(
+                {"spec": {"test_layer": "x:1"}, "mean_mae": 0.1,
+                 "holdout_mae": 0.2, "param_count": params}))
+        out = tmp_path / "grid.csv"
+        assert run(["report", "--in", res, "--out", out]) == 1
+        assert not out.exists() and not out.with_suffix(".json").exists()
+        err = capsys.readouterr().err
+        assert (f"{res / 'a' / 'H_w10_s1'} and {res / 'b' / 'H_w10_s1'} are"
+                f" both H cells at window 10, span 1") in err

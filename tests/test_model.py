@@ -221,6 +221,19 @@ class TestSerialization:
                            r" document: \[\('05_dense', 'b'\)\]"):
             load_model(self.saved_doc(tmp_path, doc))
 
+    @pytest.mark.parametrize("doc,missing", [
+        ({}, "spec or params"),
+        ({"spec": spec_for("hyper", 2, "quaternion").to_json_dict()},
+         "params"),
+    ], ids=["empty", "spec-only"])
+    def test_load_rejects_document_without_spec_or_params(self, doc, missing,
+                                                          tmp_path):
+        path = self.saved_doc(tmp_path, doc)
+        with pytest.raises(ValueError,
+                           match=f"no {missing} in the document$") as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
     def test_spec_json_round_trip(self):
         spec = spec_for("hyper", 4, "coquaternion", n_dense1=1,
                         dense_units=16, dense_activation="relu", window=20,

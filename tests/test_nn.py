@@ -333,7 +333,7 @@ class TestDropout:
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
-            Dropout(1.0)
+            Dropout(1.0, rng=np.random.default_rng(0))
 
 
 class TestBatchOnly:
@@ -362,6 +362,19 @@ class TestBatchOnly:
             lyr.forward(np.zeros((1, 3, 6)))
 
 
+class TestRequiredRng:
+    @pytest.mark.parametrize("make", [
+        lambda: HyperDense(1, 1, AlgebraKind.QUATERNION),
+        lambda: Dense(3, 2),
+        lambda: Conv1D(2, 1),
+        lambda: LSTM(2, 2),
+        lambda: Dropout(0.5),
+    ], ids=["HyperDense", "Dense", "Conv1D", "LSTM", "Dropout"])
+    def test_layer_without_rng_rejected(self, make):
+        with pytest.raises(TypeError, match="rng"):
+            make()
+
+
 class TestBackwardBeforeForward:
     @pytest.mark.parametrize("make", [
         lambda r: Dense(3, 2, rng=r),
@@ -384,8 +397,10 @@ class TestUpstreamGradientShape:
         lambda r: Conv1D(4, 3, rng=r),
         lambda r: LSTM(4, 3, rng=r),
         lambda r: MaxPool1D(2),
+        lambda r: Flatten(),
         lambda r: Dropout(0.5, rng=r),
-    ], ids=["HyperDense", "Dense", "Conv1D", "LSTM", "MaxPool1D", "Dropout"])
+    ], ids=["HyperDense", "Dense", "Conv1D", "LSTM", "MaxPool1D", "Flatten",
+            "Dropout"])
     @pytest.mark.parametrize("training", [False, True])
     def test_rejects_wrong_shape(self, make, training, rng):
         lyr = make(rng)

@@ -181,7 +181,8 @@ class TestRunSearch:
             key = ModelSpec.from_json_dict(record["spec"]).canonical()
             assert record["mean_mae"] == oracle[key]
         want_best = min(oracle, key=oracle.get)
-        assert result.best_spec.canonical() == want_best
+        assert ModelSpec.from_json_dict(result.best["spec"]).canonical() \
+            == want_best
 
     def test_resume_after_partial_ledger(self, tmp_path):
         ds, plan = small_dataset()

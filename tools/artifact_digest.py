@@ -8,12 +8,13 @@ Usage::
 CSV fixture, then runs in this process ``hyperts ingest``, ``correlate``,
 single-cell searches, one ``search --all`` grid of 16 cells and its report,
 all into ``OUT_DIR``. The single cells are an H, a CNN and an LSTM cell; an
-H cell of all three algebras with and without the per-step Dense; and
+H cell of all three algebras with and without the per-step Dense;
 ``h_resumed``, the H cell again, stopped after three configs and then
-resumed from its ledger, whose files must equal those of ``h``. It prints
-one ``sha256  relative/path`` line per file written, sorted by path, except
-``progress.ndjson`` (a timing ledger, not a canonical artifact). The CLI's
-own messages go to standard error.
+resumed from its ledger; and ``h_workers``, the H cell scored by two worker
+processes. The files of ``h_resumed`` and ``h_workers`` must equal those of
+``h``. It prints one ``sha256  relative/path`` line per file written,
+sorted by path, except ``progress.ndjson`` (a timing ledger, not a
+canonical artifact). The CLI's own messages go to standard error.
 
 Two builds of the package produce the same artifacts exactly when the
 printed digests are equal. Since ingest records the fixture's paths, run
@@ -51,6 +52,7 @@ SINGLE_CELLS = (
     ("h_algebras", "h", ["--sizes", "1", "--dense-units", "8"]),
     ("h_resumed", "h", ["--max-configs", "3"]),
     ("h_resumed", "h", ["--max-configs", "6"]),
+    ("h_workers", "h", ["--max-configs", "6", "--workers", "2"]),
 )
 GRID = ["--windows", "10,20", "--spans", "1,5", "--sizes", "8",
         "--dense-units", "32", "--max-configs", "2", "--epochs", "1"]
