@@ -20,6 +20,9 @@ from .nn import (Activation, Conv1D, Dense, Dropout, Flatten, HyperDense,
                  Layer, LSTM, MaxPool1D, ShapeError)
 
 CLASS_KINDS = ("cnn", "lstm", "hyper")
+# the fields of a spec's JSON dict, as ModelSpec.to_json_dict writes them
+SPEC_FIELDS = ("test_layer", "n_dense1", "n_dense2", "dense_units",
+               "dense_activation", "window", "span", "seed")
 
 INPUT_CHANNELS = 4
 CONV_KERNEL = 3
@@ -34,6 +37,14 @@ def min_window(kind: str) -> int:
     if kind == "cnn":
         return CONV_KERNEL + POOL_SIZE - 1
     return POOL_SIZE
+
+
+def require_keys(doc: dict, keys, where) -> None:
+    """Raise ``ValueError`` naming ``where`` and every one of ``keys`` that
+    the JSON document ``doc`` lacks."""
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"{where}: no {' or '.join(missing)} in the document")
 
 
 def spec_key(spec_doc: dict) -> str:
@@ -102,6 +113,9 @@ class ModelSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelSpec":
+        """The spec ``to_json_dict`` wrote; raises ``ValueError`` naming
+        the spec and its missing fields if it lacks any."""
+        require_keys(doc, SPEC_FIELDS, f"spec {spec_key(doc)}")
         parts = doc["test_layer"].split(":")
         kind = parts[0]
         size = int(parts[1])
@@ -269,9 +283,7 @@ def load_model(path) -> Model:
     A document without ``spec`` or ``params`` raises ``ValueError``."""
     with open(path) as fh:
         doc = json.load(fh)
-    missing = [key for key in ("spec", "params") if key not in doc]
-    if missing:
-        raise ValueError(f"{path}: no {' or '.join(missing)} in the document")
+    require_keys(doc, ("spec", "params"), path)
     model = build(ModelSpec.from_json_dict(doc["spec"]))
     model.load_params(doc)
     return model

@@ -9,6 +9,10 @@ of attribute ``<name>`` lives at ``d<name>`` (same shape) and is filled by
 ``backward()``. Once the layer is part of a ``Model``, both arrays are
 views into the model's parameter and gradient vectors, so ``backward()``
 writes gradients in place and nothing may rebind them.
+
+Backward passes are written as 2-D matrix products over the flattened
+batch-and-time rows, so BLAS does the reductions. Each pass is
+deterministic: the same inputs give the same bits on every call.
 """
 
 from __future__ import annotations
@@ -142,6 +146,11 @@ class HyperDense(Layer):
     [batch, time, 4*units].
 
     Trainable reals: 4*units*in_h weights + 4*units biases.
+
+    Forward is one product with the real block matrix of the weights.
+    Backward gets the input gradient from the same matrix and the weight
+    gradient from one product of the output gradient with the input rows,
+    contracted with the structure constants.
     """
 
     _param_names = ("w", "b")
@@ -185,16 +194,22 @@ class HyperDense(Layer):
         dz = _act_backward(g.reshape(bsz * t, 4 * self.units), z,
                            self.activation)
         self.db[...] = dz.sum(axis=0).reshape(self.units, 4)
-        dzh = dz.reshape(-1, self.units, 4)
-        xh = flat.reshape(-1, self.in_h, 4)
-        # dw[u,s,p] = sum_n dz[n,u,d] x[n,s,q] c[p,q,d]
-        gux = np.einsum("nud,nsq->udsq", dzh, xh)
+        # dw[u,s,p] = sum_n dz[n,u,d] x[n,s,q] c[p,q,d]: one GEMM over the
+        # rows gives gux[u,d,s,q] = sum_n dz[n,u,d] x[n,s,q], then the
+        # structure constants contract the 4x4 blocks
+        gux = (dz.T @ flat).reshape(self.units, 4, self.in_h, 4)
         self.dw[...] = np.einsum("udsq,pqd->usp", gux, self.table)
         return (dz @ m).reshape(bsz, t, 4 * self.in_h)
 
 
 class Dense(Layer):
-    """Fully connected layer applied along the last axis: y = f(x @ W + b)."""
+    """Fully connected layer applied along the last axis: y = f(x @ W + b).
+
+    Backward flattens the leading axes into rows, so both gradients are
+    single 2-D products. Forward keeps the batched product on the input's
+    own shape: on 3-D inference batches, one large threaded 2-D product
+    raised peak memory.
+    """
 
     _param_names = ("w", "b")
 
@@ -227,7 +242,7 @@ class Dense(Layer):
         dzf = dz.reshape(-1, self.units)
         self.dw[...] = xf.T @ dzf
         self.db[...] = dzf.sum(axis=0)
-        return dz @ self.w.T
+        return (dzf @ self.w.T).reshape(x.shape)
 
 
 class Conv1D(Layer):
@@ -235,6 +250,10 @@ class Conv1D(Layer):
 
     out[t, f] = act( sum_{k,c} kernel[f, k, c] * x[t+k, c] + b[f] ),
     output time length = time - kernel_size + 1.
+
+    Backward takes each kernel tap k as a Dense layer on the shifted rows
+    x[:, k:k+t_out, :]: two 2-D products per tap give its weight gradient
+    and its share of the input gradient (im2col-style lowering).
     """
 
     _param_names = ("w", "b")
@@ -267,22 +286,25 @@ class Conv1D(Layer):
             xb, self.kernel_size, axis=1)
         z = np.einsum("btck,fkc->btf", win, self.w, optimize=True) + self.b
         y = _apply_act(z, self.activation)
-        self._cache = (win, z, bsz, t)
+        self._cache = (xb, z)
         return y
 
     def backward(self, grad_out):
-        win, z, bsz, t = self._cached()
+        xb, z = self._cached()
         g = self._upstream(grad_out, z.shape)
         dz = _act_backward(g, z, self.activation)
-        self.dw[...] = np.einsum("btf,btck->fkc", dz, win, optimize=True)
+        bsz, t_out, _ = z.shape
+        dzf = dz.reshape(bsz * t_out, self.filters)
         self.db[...] = dz.sum(axis=(0, 1))
-        # full correlation of dz with the kernel flipped along k
-        k = self.kernel_size
-        pad = np.zeros((bsz, t + k - 1, self.filters), dtype=np.float64)
-        pad[:, k - 1:k - 1 + dz.shape[1], :] = dz
-        dwin = np.lib.stride_tricks.sliding_window_view(pad, k, axis=1)
-        return np.einsum("btfk,fkc->btc", dwin, self.w[:, ::-1, :],
-                         optimize=True)
+        # tap k sees the input rows x[:, k:k+t_out, :]: it gets the weight
+        # gradient dz^T x_k and adds dz w[:, k, :] back onto those rows
+        dx = np.zeros_like(xb)
+        for k in range(self.kernel_size):
+            xk = xb[:, k:k + t_out, :].reshape(bsz * t_out, self.channels)
+            self.dw[:, k, :] = dzf.T @ xk
+            dx[:, k:k + t_out, :] += (dzf @ self.w[:, k, :]).reshape(
+                bsz, t_out, self.channels)
+        return dx
 
 
 class LSTM(Layer):

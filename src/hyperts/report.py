@@ -11,7 +11,10 @@ from __future__ import annotations
 import json
 import pathlib
 
+from .model import require_keys
+
 CANONICAL_LABELS = ["CNN", "LSTM", "H", "HR"]
+BEST_FIELDS = ("mean_mae", "holdout_mae", "param_count", "spec")
 
 
 def _label_order(labels) -> list[str]:
@@ -23,7 +26,8 @@ def _label_order(labels) -> list[str]:
 def build_report(results_dir) -> dict:
     """Window x span grid of each label's best, read from every completed
     cell (``cell.json`` plus ``best.json``) under ``results_dir``; raises
-    ``ValueError`` if there is none or two share a label, window and span."""
+    ``ValueError`` if there is none, two share a label, window and span, or
+    either document lacks a field the report reads."""
     grid: dict[tuple[int, int], dict] = {}
     dirs: dict[tuple[str, int, int], pathlib.Path] = {}
     for cell_path in sorted(pathlib.Path(results_dir).glob("**/cell.json")):
@@ -34,14 +38,16 @@ def build_report(results_dir) -> dict:
             cell = json.load(fh)
         with open(best_path) as fh:
             best = json.load(fh)
+        require_keys(cell, ("label", "window", "span"), cell_path)
+        require_keys(best, BEST_FIELDS, best_path)
         label = cell["label"]
         window, span = int(cell["window"]), int(cell["span"])
         other = dirs.setdefault((label, window, span), cell_path.parent)
         if other != cell_path.parent:
             raise ValueError(f"{other} and {cell_path.parent} are both {label}"
                              f" cells at window {window}, span {span}")
-        grid.setdefault((window, span), {})[label] = {k: best[k] for k in (
-            "mean_mae", "holdout_mae", "param_count", "spec")}
+        grid.setdefault((window, span), {})[label] = {
+            k: best[k] for k in BEST_FIELDS}
     if not grid:
         raise ValueError(f"no completed search cells under {results_dir}")
     out_cells = []

@@ -24,20 +24,34 @@ def _error(pred: np.ndarray, target: np.ndarray, name: str) -> np.ndarray:
     return pred - target
 
 
+# Each metric is written once, over the error ``pred - target``; the public
+# functions and ``fit`` (which computes one error per step) both use these.
+
+def _mse_of(err: np.ndarray) -> float:
+    return float(np.mean(err ** 2))
+
+
+def _mse_grad_of(err: np.ndarray) -> np.ndarray:
+    return 2.0 * err / err.size
+
+
+def _mae_of(err: np.ndarray) -> float:
+    return float(np.mean(np.abs(err)))
+
+
 def mse(pred: np.ndarray, target: np.ndarray) -> float:
     """Mean squared error over all elements."""
-    return float(np.mean(_error(pred, target, "mse") ** 2))
+    return _mse_of(_error(pred, target, "mse"))
 
 
 def mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """d(mse)/d(pred) = 2 (pred - target) / N."""
-    err = _error(pred, target, "mse")
-    return 2.0 * err / err.size
+    return _mse_grad_of(_error(pred, target, "mse"))
 
 
 def mae(pred: np.ndarray, target: np.ndarray) -> float:
     """Mean absolute error over all elements."""
-    return float(np.mean(np.abs(_error(pred, target, "mae"))))
+    return _mae_of(_error(pred, target, "mae"))
 
 
 class Adam:
@@ -108,10 +122,10 @@ def fit(model: Model, x: np.ndarray, y: np.ndarray,
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             xb, yb = x[idx], y[idx]
-            pred = model.forward(xb, training=True)
-            loss_sum += mse(pred, yb) * len(idx)
-            mae_sum += mae(pred, yb) * len(idx)
-            model.backward(mse_grad(pred, yb))
+            err = _error(model.forward(xb, training=True), yb, "mse")
+            loss_sum += _mse_of(err) * len(idx)
+            mae_sum += _mae_of(err) * len(idx)
+            model.backward(_mse_grad_of(err))
             opt.step(model.grads())
         history.append((loss_sum / n, mae_sum / n))
     return history

@@ -6,8 +6,11 @@ import json
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
+
+import pytest
 
 import hyperts
 
@@ -17,11 +20,19 @@ CELL_FILES = ("best.json", "best_model.json", "cell.json",
               "history_best.csv", "results.ndjson")
 
 
-def run_script(out):
+def run_script(*args):
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(hyperts.__file__).parents[1]))
-    return subprocess.run([sys.executable, str(SCRIPT), str(out)], env=env,
-                          capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, str(SCRIPT), *map(str, args)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+@pytest.fixture(scope="module")
+def digest_run(tmp_path_factory):
+    """One run of the script: its output directory and finished process."""
+    out = tmp_path_factory.mktemp("artifacts") / "digest"
+    return out, run_script(out)
 
 
 def expected_paths():
@@ -39,9 +50,8 @@ def expected_paths():
     return paths
 
 
-def test_one_digest_per_artifact(tmp_path):
-    out = tmp_path / "digest"
-    proc = run_script(out)
+def test_one_digest_per_artifact(digest_run):
+    out, proc = digest_run
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
@@ -68,3 +78,66 @@ def test_one_digest_per_artifact(tmp_path):
     again = run_script(out)
     assert again.returncode == 2 and again.stdout == ""
     assert "is not empty" in again.stderr
+
+
+def edited_copy(out, tmp_path, rel, edit):
+    """A copy of the run's directory with ``edit`` applied to one file's
+    text."""
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    path = copy / rel
+    text = path.read_text()
+    path.write_text(edit(text))
+    assert path.read_text() != text
+    return copy
+
+
+def nudge_holdout(factor):
+    def edit(text):
+        value = json.loads(text)["holdout_mae"]
+        return text.replace(f'"holdout_mae": {value!r}',
+                            f'"holdout_mae": {value * factor!r}')
+    return edit
+
+
+class TestCompare:
+    def test_directory_agrees_with_itself(self, digest_run):
+        out, _ = digest_run
+        proc = run_script("--compare", out, out)
+        assert proc.returncode == 0, proc.stdout
+        assert proc.stdout.startswith(f"{len(expected_paths())} files agree")
+
+    def test_number_within_tolerance_agrees(self, digest_run, tmp_path):
+        out, _ = digest_run
+        copy = edited_copy(out, tmp_path, "h/best.json",
+                           nudge_holdout(1 + 1e-12))
+        proc = run_script("--compare", out, copy)
+        assert proc.returncode == 0, proc.stdout
+
+    def test_number_beyond_tolerance_named(self, digest_run, tmp_path):
+        out, _ = digest_run
+        copy = edited_copy(out, tmp_path, "h/best.json",
+                           nudge_holdout(1 + 1e-6))
+        proc = run_script("--compare", out, copy)
+        assert proc.returncode == 1
+        assert proc.stdout.startswith("differ: h/best.json: holdout_mae: ")
+
+    def test_changed_winner_named(self, digest_run, tmp_path):
+        out, _ = digest_run
+        copy = edited_copy(out, tmp_path, "cnn/best.json",
+                           lambda text: text.replace('"seed": 3', '"seed": 4'))
+        proc = run_script("--compare", out, copy)
+        assert proc.returncode == 1
+        assert proc.stdout.startswith("differ: cnn/best.json: spec: winner ")
+
+    def test_csv_cell_and_missing_file_named(self, digest_run, tmp_path):
+        out, _ = digest_run
+        copy = edited_copy(out, tmp_path, "h/history_best.csv",
+                           lambda text: text.replace("\n1,", "\n1,9", 1))
+        proc = run_script("--compare", out, copy)
+        assert proc.returncode == 1
+        assert proc.stdout.startswith(
+            "differ: h/history_best.csv: line 3: cells[1]: ")
+        (copy / "lstm" / "cell.json").unlink()
+        proc = run_script("--compare", out, copy)
+        assert proc.stdout == f"differ: lstm/cell.json: only under {out}\n"

@@ -289,6 +289,24 @@ class TestReport:
         assert len(rows) == 17  # header + 16 cells
         assert all(row.endswith(",H") for row in rows[1:])  # fewest params
 
+    @pytest.mark.parametrize("key", ["label", "window", "span"])
+    def test_cell_document_without_a_field_exits_1(self, key, tmp_path,
+                                                   capsys):
+        d = tmp_path / "results" / "H_w10_s1"
+        d.mkdir(parents=True)
+        cell = {"label": "H", "window": 10, "span": 1}
+        del cell[key]
+        (d / "cell.json").write_text(json.dumps(cell))
+        (d / "best.json").write_text(json.dumps(
+            {"spec": {"test_layer": "x:1"}, "mean_mae": 0.1,
+             "holdout_mae": 0.2, "param_count": 100}))
+        out = tmp_path / "grid.csv"
+        assert run(["report", "--in", tmp_path / "results", "--out",
+                    out]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"error: {d / 'cell.json'}: no {key} in the document" in err
+
     def test_two_cells_with_same_label_window_span_rejected(self, tmp_path,
                                                             capsys):
         res = tmp_path / "results"

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import check_model_gradients
-from hyperts.model import Model, ModelSpec, build, load_model, min_window
+from hyperts.model import (SPEC_FIELDS, Model, ModelSpec, build, load_model,
+                           min_window)
 from hyperts.nn import ShapeError
 from hyperts.train import TrainConfig, fit
 
@@ -233,6 +234,24 @@ class TestSerialization:
                            match=f"no {missing} in the document$") as info:
             load_model(path)
         assert str(path) in str(info.value)
+
+    def test_load_rejects_spec_without_fields(self, tmp_path):
+        path = self.saved_doc(tmp_path, {"spec": {"test_layer": "cnn:2"},
+                                         "params": []})
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == (
+            'spec {"test_layer":"cnn:2"}: no n_dense1 or n_dense2 or'
+            ' dense_units or dense_activation or window or span or seed in'
+            ' the document')
+
+    @pytest.mark.parametrize("field", SPEC_FIELDS)
+    def test_spec_without_a_field_names_it(self, field):
+        doc = spec_for("hyper", 2, "quaternion").to_json_dict()
+        del doc[field]
+        with pytest.raises(ValueError,
+                           match=f"^spec {{.*}}: no {field} in the document$"):
+            ModelSpec.from_json_dict(doc)
 
     def test_spec_json_round_trip(self):
         spec = spec_for("hyper", 4, "coquaternion", n_dense1=1,

@@ -173,6 +173,108 @@ class TestConv1D:
                 check_layer_gradients(lyr, rng.normal(size=(2, 7, 3)), rng)
 
 
+def assert_close_to_scale(got, want, rtol=1e-12):
+    """Every element of ``got`` within ``rtol`` of the largest magnitude in
+    ``want`` (sums that cancel have no meaningful per-element ratio)."""
+    assert got.shape == want.shape
+    scale = max(float(np.max(np.abs(want))), np.finfo(np.float64).tiny)
+    assert float(np.max(np.abs(got - want))) <= rtol * scale
+
+
+def run_backward(lyr, x, g):
+    """forward then backward; copies of dx and every parameter gradient."""
+    lyr.forward(x, training=True)
+    dx = lyr.backward(g)
+    return [dx.copy()] + [d.copy() for d in lyr.grads()]
+
+
+def assert_backward_matches(lyr, x, oracle, rng):
+    """The layer's dx, dw, db against the oracle's within 1e-12 of scale,
+    and the same bits from a second call on the same inputs."""
+    g = rng.normal(size=lyr.forward(x).shape)
+    first = run_backward(lyr, x, g)
+    for got, want in zip(first, oracle(lyr, x, g)):
+        assert_close_to_scale(got, want)
+    for a, b in zip(first, run_backward(lyr, x, g)):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def relu_mask(z, act):
+    return (z > 0.0) if act is Activation.RELU else 1.0
+
+
+# The three oracles below are the einsum formulations the layers used before
+# their backward passes became 2-D matrix products. They read only the
+# layers' weights and settings and share no code with the layers.
+
+def hyperdense_einsum_backward(lyr, x, g):
+    """(dx, dw, db) of HyperDense by per-row einsums."""
+    c = lyr.table
+    xh = x.reshape(-1, lyr.in_h, 4)
+    # m[u,d,s,q] = sum_p w[u,s,p] c[p,q,d]: the left product as a matrix
+    m = np.einsum("usp,pqd->udsq", lyr.w, c)
+    z = np.einsum("udsq,nsq->nud", m, xh) + lyr.b
+    dzh = g.reshape(-1, lyr.units, 4) * relu_mask(z, lyr.activation)
+    gux = np.einsum("nud,nsq->udsq", dzh, xh)
+    dw = np.einsum("udsq,pqd->usp", gux, c)
+    dx = np.einsum("nud,udsq->nsq", dzh, m).reshape(x.shape)
+    return dx, dw, dzh.sum(axis=0)
+
+
+def dense_einsum_backward(lyr, x, g):
+    """(dx, dw, db) of Dense with the gradient taken on x's own shape."""
+    z = np.einsum("...i,iu->...u", x, lyr.w) + lyr.b
+    dz = g * relu_mask(z, lyr.activation)
+    dzf = dz.reshape(-1, lyr.units)
+    dw = np.einsum("ni,nu->iu", x.reshape(-1, lyr.in_features), dzf)
+    db = dzf.sum(axis=0)
+    return np.einsum("...u,iu->...i", dz, lyr.w), dw, db
+
+
+def conv1d_einsum_backward(lyr, x, g):
+    """(dx, dw, db) of Conv1D: the weight gradient over sliding windows, and
+    dx as the full correlation of dz with the kernel flipped in time."""
+    k = lyr.kernel_size
+    bsz, t, _ = x.shape
+    win = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)
+    z = np.einsum("btck,fkc->btf", win, lyr.w) + lyr.b
+    dz = g * relu_mask(z, lyr.activation)
+    dw = np.einsum("btf,btck->fkc", dz, win)
+    pad = np.zeros((bsz, t + k - 1, lyr.filters))
+    pad[:, k - 1:k - 1 + dz.shape[1], :] = dz
+    dwin = np.lib.stride_tricks.sliding_window_view(pad, k, axis=1)
+    dx = np.einsum("btfk,fkc->btc", dwin, lyr.w[:, ::-1, :])
+    return dx, dw, dz.sum(axis=(0, 1))
+
+
+class TestBackwardOracles:
+    @pytest.mark.parametrize("act", list(Activation))
+    @pytest.mark.parametrize("kind", list(AlgebraKind))
+    @pytest.mark.parametrize("in_h", [1, 2, 3])
+    def test_hyperdense(self, in_h, kind, act, rng):
+        lyr = HyperDense(in_h, 5, kind, activation=act, rng=rng)
+        lyr.b[...] = rng.normal(size=lyr.b.shape)
+        assert_backward_matches(lyr, rng.normal(size=(6, 7, 4 * in_h)),
+                                hyperdense_einsum_backward, rng)
+
+    @pytest.mark.parametrize("act", list(Activation))
+    @pytest.mark.parametrize("shape", [(9, 6), (4, 7, 6)], ids=["2d", "3d"])
+    def test_dense(self, shape, act, rng):
+        lyr = Dense(6, 5, activation=act, rng=rng)
+        lyr.b[...] = rng.normal(size=lyr.b.shape)
+        assert_backward_matches(lyr, rng.normal(size=shape),
+                                dense_einsum_backward, rng)
+
+    @pytest.mark.parametrize("act", list(Activation))
+    @pytest.mark.parametrize("extra", [0, 1, 5, 17])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4])
+    def test_conv1d(self, kernel, extra, act, rng):
+        lyr = Conv1D(3, 5, kernel_size=kernel, activation=act, rng=rng)
+        lyr.b[...] = rng.normal(size=lyr.b.shape)
+        assert_backward_matches(lyr, rng.normal(size=(4, kernel + extra, 3)),
+                                conv1d_einsum_backward, rng)
+
+
 class TestLSTM:
     def test_zero_weights_give_zero_hidden(self):
         lyr = LSTM(2, 3, rng=np.random.default_rng(0))

@@ -164,6 +164,37 @@ class TestFit:
         frac = np.mean(np.diff(smooth) < 0)
         assert frac >= 0.9
 
+    def test_matches_a_loop_over_the_public_metrics_bit_for_bit(self, rng):
+        # fit derives loss, MAE and gradient from one error per step; they
+        # must be the very floats of mse, mae and mse_grad
+        x, y = linear_problem(rng, n=45)
+        config = TrainConfig(epochs=3, batch_size=8, seed=5, lr=1e-2)
+        model = build(tiny_spec(seed=9, size=3))
+        history = fit(model, x, y, config)
+
+        ref = build(tiny_spec(seed=9, size=3))
+        order_rng = np.random.default_rng(config.seed)
+        opt = Adam(ref.params(), lr=config.lr)
+        want = []
+        for _ in range(config.epochs):
+            order = order_rng.permutation(len(x))
+            loss_sum = mae_sum = 0.0
+            for start in range(0, len(x), config.batch_size):
+                idx = order[start:start + config.batch_size]
+                pred = ref.forward(x[idx], training=True)
+                loss_sum += mse(pred, y[idx]) * len(idx)
+                mae_sum += mae(pred, y[idx]) * len(idx)
+                ref.backward(mse_grad(pred, y[idx]))
+                opt.step(ref.grads())
+            want.append((loss_sum / len(x), mae_sum / len(x)))
+        assert history == want
+        np.testing.assert_array_equal(model.params()[0], ref.params()[0])
+
+    def test_target_shape_mismatch_named_as_mse(self, rng):
+        x, y = linear_problem(rng)
+        with pytest.raises(ShapeError, match=r"^mse: shapes differ"):
+            fit(build(tiny_spec()), x, np.zeros((len(x), 2)))
+
     def test_updates_params_in_place(self, rng):
         x, y = linear_problem(rng)
         model = build(tiny_spec(seed=7))

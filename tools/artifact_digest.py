@@ -24,6 +24,20 @@ both at the same ``OUT_DIR``, importing each build in turn::
     rm -rf /tmp/digest
     PYTHONPATH=b/src python tools/artifact_digest.py /tmp/digest > b.txt
     diff a.txt b.txt
+
+A change that reorders a floating-point sum moves numbers by an ulp or so
+and changes bytes. For such a change, compare the two output directories
+value by value instead (move each away from ``OUT_DIR`` after its run)::
+
+    python tools/artifact_digest.py --compare A_DIR B_DIR
+
+This passes, with exit code 0, when both hold the same canonical files,
+every ``best.json`` names the same winner ``spec``, all text other than
+numbers is identical, and every number ``a`` in one matches its ``b`` in
+the other within ``|a - b| <= 1e-9 * max(|a|, |b|)``. Otherwise it names
+the first offending file and field and exits with 1. JSON and NDJSON files
+are compared as parsed documents, CSV files cell by cell (comment lines
+as text), and any other file byte for byte.
 """
 
 from __future__ import annotations
@@ -32,12 +46,12 @@ import contextlib
 import datetime
 import hashlib
 import json
+import math
 import pathlib
+import re
 import sys
 
 import numpy as np
-
-from hyperts import cli
 
 TICKERS = ("T0", "T1", "T2", "T3")
 ROWS = 200
@@ -56,6 +70,9 @@ SINGLE_CELLS = (
 )
 GRID = ["--windows", "10,20", "--spans", "1,5", "--sizes", "8",
         "--dense-units", "32", "--max-configs", "2", "--epochs", "1"]
+REL_TOL = 1e-9
+# a CSV cell that is one number, as str() writes an int or repr() a float
+NUMBER_RE = re.compile(r"-?(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|-?inf|nan")
 
 
 def write_fixture(out: pathlib.Path) -> pathlib.Path:
@@ -90,6 +107,9 @@ def write_fixture(out: pathlib.Path) -> pathlib.Path:
 
 def run_all(out: pathlib.Path) -> None:
     """Write the fixture and every run's artifacts under ``out``."""
+    # imported here so that --compare runs without a build on the path
+    from hyperts import cli
+
     fixture = out / "fixture"
     fixture.mkdir(parents=True)
     data = out / "data"
@@ -110,22 +130,118 @@ def run_all(out: pathlib.Path) -> None:
                 raise SystemExit(f"hyperts {argv[0]} failed")
 
 
+def canonical_files(out: pathlib.Path) -> list[str]:
+    """Relative paths of every file under ``out`` except the timing
+    ledgers, sorted."""
+    return sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
+                  if p.is_file() and p.name != "progress.ndjson")
+
+
 def digests(out: pathlib.Path) -> list[str]:
-    """``sha256  relative/path`` of every file under ``out`` except the
-    timing ledgers, sorted by path."""
-    lines = []
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        if path.name == "progress.ndjson":
-            continue
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        lines.append(f"{digest}  {path.relative_to(out).as_posix()}")
-    return lines
+    """``sha256  relative/path`` of every canonical file under ``out``."""
+    return [f"{hashlib.sha256((out / rel).read_bytes()).hexdigest()}  {rel}"
+            for rel in canonical_files(out)]
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _close(a: float, b: float) -> bool:
+    if math.isfinite(a) and math.isfinite(b):
+        return abs(a - b) <= REL_TOL * max(abs(a), abs(b))
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def compare_values(a, b, field: str) -> str | None:
+    """None when the parsed documents ``a`` and ``b`` agree (equal text and
+    structure, numbers within ``REL_TOL``), else what differs first and at
+    which field."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            return f"{field or 'keys'}: keys {list(a)} vs {list(b)}"
+        for key in a:
+            found = compare_values(a[key], b[key],
+                                   f"{field}.{key}" if field else key)
+            if found:
+                return found
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return f"{field or 'items'}: {len(a)} vs {len(b)} items"
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = compare_values(x, y, f"{field}[{i}]")
+            if found:
+                return found
+        return None
+    if _is_number(a) and _is_number(b):
+        return None if _close(a, b) else f"{field}: {a!r} vs {b!r}"
+    return None if a == b else f"{field}: {a!r} vs {b!r}"
+
+
+def _csv_cell(text: str):
+    return float(text) if NUMBER_RE.fullmatch(text) else text
+
+
+def compare_files(a: pathlib.Path, b: pathlib.Path) -> str | None:
+    """None when two same-named artifacts agree at value level, else the
+    first offending field. JSON is compared as a parsed document (and a
+    ``best.json`` first by its winner ``spec``), NDJSON line by line, CSV
+    cell by cell (comment lines as text), anything else byte for byte."""
+    if a.suffix == ".json":
+        doc_a, doc_b = json.loads(a.read_text()), json.loads(b.read_text())
+        if a.name == "best.json" and doc_a.get("spec") != doc_b.get("spec"):
+            return (f"spec: winner {doc_a.get('spec')} vs"
+                    f" {doc_b.get('spec')}")
+        return compare_values(doc_a, doc_b, "")
+    if a.suffix not in (".ndjson", ".csv"):
+        return None if a.read_bytes() == b.read_bytes() else "bytes differ"
+    lines_a, lines_b = a.read_text().splitlines(), b.read_text().splitlines()
+    if len(lines_a) != len(lines_b):
+        return f"{len(lines_a)} vs {len(lines_b)} lines"
+    for i, (x, y) in enumerate(zip(lines_a, lines_b), start=1):
+        if a.suffix == ".ndjson":
+            found = compare_values(json.loads(x), json.loads(y), "")
+        elif x.startswith("#") or y.startswith("#"):
+            found = None if x == y else f"{x!r} vs {y!r}"
+        else:
+            found = compare_values([_csv_cell(c) for c in x.split(",")],
+                                   [_csv_cell(c) for c in y.split(",")],
+                                   "cells")
+        if found:
+            return f"line {i}: {found}"
+    return None
+
+
+def compare_dirs(a: pathlib.Path, b: pathlib.Path) -> str | None:
+    """None when the artifacts under ``a`` and ``b`` agree at value level
+    (see the module docstring), else the first offending file and field."""
+    files = canonical_files(a)
+    others = canonical_files(b)
+    if files != others:
+        only = min(set(files) ^ set(others))
+        return f"{only}: only under {a if only in files else b}"
+    for rel in files:
+        found = compare_files(a / rel, b / rel)
+        if found:
+            return f"{rel}: {found}"
+    return None
 
 
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        a, b = (pathlib.Path(d) for d in argv[1:])
+        found = compare_dirs(a, b)
+        if found:
+            print(f"differ: {found}")
+            return 1
+        print(f"{len(canonical_files(a))} files agree: same winners, numbers"
+              f" within {REL_TOL:g} relative")
+        return 0
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: python tools/artifact_digest.py OUT_DIR",
+        print("usage: python tools/artifact_digest.py OUT_DIR\n"
+              "       python tools/artifact_digest.py --compare A_DIR B_DIR",
               file=sys.stderr)
         return 2
     out = pathlib.Path(argv[0]).resolve()
