@@ -3,7 +3,7 @@ Conv1D/LSTM baselines, plus the grid-search comparison tooling around them."""
 
 __version__ = "0.1.0"
 
-from .algebra import AlgebraKind, hadd, hmul, left_mul_matrix, table_for
+from .algebra import AlgebraKind, hmul, left_mul_matrix, table_for
 from .nn import (Activation, Conv1D, Dense, Dropout, Flatten, HyperDense,
                  LSTM, MaxPool1D, ShapeError)
 from .model import Model, ModelSpec, build, load_model
@@ -18,7 +18,7 @@ from .search import (Grid, SearchResult, cross_validate, enumerate_specs,
                      run_search)
 
 __all__ = [
-    "AlgebraKind", "hadd", "hmul", "left_mul_matrix", "table_for",
+    "AlgebraKind", "hmul", "left_mul_matrix", "table_for",
     "Activation", "Conv1D", "Dense", "Dropout", "Flatten", "HyperDense",
     "LSTM", "MaxPool1D", "ShapeError",
     "Model", "ModelSpec", "build", "load_model",

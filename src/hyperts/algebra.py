@@ -1,9 +1,11 @@
 """Four-dimensional hypercomplex algebras via structure constants.
 
-Three algebras are supported, all with basis (1, i, j, k): quaternions,
-coquaternions (split quaternions), and the Clifford algebra Cl(1,1).
-Each is defined by a dense 4x4x4 structure-constant tensor so that a
-one multiplication routine serves all three.
+Three algebras are supported, all with basis (1, i, j, k) indexed 0-3:
+quaternions, coquaternions (split quaternions), and the Clifford algebra
+Cl(1,1). In each, e_a * e_b = s[a][b] * e_(a XOR b), with sign +1 when a
+factor is the real unit, so the algebras differ only in the signs s of the
+nine imaginary products. Each is held as a dense 4x4x4 structure-constant
+tensor so that one multiplication routine serves all three.
 
 Component order is fixed everywhere as (real, i, j, k).
 """
@@ -23,51 +25,25 @@ class AlgebraKind(enum.Enum):
     CLIFFORD11 = "cl11"
 
 
-# Multiplication rules for the imaginary units, one dict per algebra.
-# (a, b) -> (d, sign) meaning e_a * e_b = sign * e_d, with indices
-# 1 = i, 2 = j, 3 = k and 0 the real unit.
-_QUATERNION_RULES = {
-    (1, 1): (0, -1), (1, 2): (3, +1), (1, 3): (2, -1),
-    (2, 1): (3, -1), (2, 2): (0, -1), (2, 3): (1, +1),
-    (3, 1): (2, +1), (3, 2): (1, -1), (3, 3): (0, -1),
-}
-
-_COQUATERNION_RULES = {
-    (1, 1): (0, -1), (1, 2): (3, +1), (1, 3): (2, -1),
-    (2, 1): (3, -1), (2, 2): (0, +1), (2, 3): (1, -1),
-    (3, 1): (2, +1), (3, 2): (1, +1), (3, 3): (0, +1),
-}
-
-_CLIFFORD11_RULES = {
-    (1, 1): (0, +1), (1, 2): (3, +1), (1, 3): (2, +1),
-    (2, 1): (3, -1), (2, 2): (0, -1), (2, 3): (1, +1),
-    (3, 1): (2, -1), (3, 2): (1, -1), (3, 3): (0, +1),
-}
-
-_RULES = {
-    AlgebraKind.QUATERNION: _QUATERNION_RULES,
-    AlgebraKind.COQUATERNION: _COQUATERNION_RULES,
-    AlgebraKind.CLIFFORD11: _CLIFFORD11_RULES,
+# e_a * e_b = s[a][b] * e_(a XOR b); rows a and columns b run over i, j, k.
+_SIGNS = {
+    AlgebraKind.QUATERNION: ((-1, +1, -1), (-1, -1, +1), (+1, -1, -1)),
+    AlgebraKind.COQUATERNION: ((-1, +1, -1), (-1, +1, -1), (+1, +1, +1)),
+    AlgebraKind.CLIFFORD11: ((+1, +1, +1), (-1, -1, +1), (-1, -1, +1)),
 }
 
 
-def _build_table(rules: dict) -> np.ndarray:
+def _build_table(signs) -> np.ndarray:
     """Assemble the 4x4x4 tensor c[a, b, d] = coefficient of e_d in e_a * e_b."""
     c = np.zeros((4, 4, 4), dtype=np.float64)
     for a in range(4):
         for b in range(4):
-            if a == 0:
-                c[a, b, b] = 1.0  # 1 * e_b = e_b
-            elif b == 0:
-                c[a, b, a] = 1.0  # e_a * 1 = e_a
-            else:
-                d, sign = rules[(a, b)]
-                c[a, b, d] = float(sign)
+            c[a, b, a ^ b] = signs[a - 1][b - 1] if a and b else 1.0
     c.setflags(write=False)
     return c
 
 
-_TABLES = {kind: _build_table(rules) for kind, rules in _RULES.items()}
+_TABLES = {kind: _build_table(signs) for kind, signs in _SIGNS.items()}
 
 
 def table_for(kind: AlgebraKind) -> np.ndarray:
@@ -82,17 +58,10 @@ def table_for(kind: AlgebraKind) -> np.ndarray:
 def hmul(a: np.ndarray, b: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Multiply two hypercomplex elements under the given structure constants.
 
-    `a` and `b` are length-4 component vectors (real, i, j, k).
-    result_d = sum_{p,q} a_p * b_q * c[p, q, d]; bilinear in both slots.
+    `a` and `b` are length-4 component vectors (real, i, j, k); the product
+    is left multiplication by `a` applied to `b`.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return np.einsum("p,q,pqd->d", a, b, table)
-
-
-def hadd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Componentwise sum of two hypercomplex elements."""
-    return np.asarray(a, dtype=np.float64) + np.asarray(b, dtype=np.float64)
+    return left_mul_matrix(a, table) @ b
 
 
 def left_mul_matrix(w: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -40,7 +40,6 @@ class LaggedCorrelation:
     """values[l] = pearson(a[0:n-l], b[l:n]): 'a leads b' convention."""
 
     pair: tuple[str, str]
-    lags: np.ndarray
     values: np.ndarray
 
 
@@ -59,6 +58,8 @@ def lagged_correlation(a: np.ndarray, b: np.ndarray, max_lag: int = 60,
     b = np.asarray(b, dtype=np.float64)
     if a.size != b.size:
         raise ValueError("lagged_correlation: unequal lengths")
+    if max_lag < 0:
+        raise ValueError(f"max_lag must be >= 0, got {max_lag}")
     if a.size <= max_lag + 1:
         raise ValueError(
             f"series of length {a.size} too short for max_lag {max_lag}")
@@ -66,8 +67,7 @@ def lagged_correlation(a: np.ndarray, b: np.ndarray, max_lag: int = 60,
     n = a.size
     for lag in range(max_lag + 1):
         vals[lag] = pearson(a[:n - lag], b[lag:])
-    return LaggedCorrelation(pair=pair, lags=np.arange(max_lag + 1),
-                             values=vals)
+    return LaggedCorrelation(pair=pair, values=vals)
 
 
 def all_pair_lag_curves(table: SeriesTable,
@@ -98,5 +98,5 @@ def write_lag_csv(curve: LaggedCorrelation, path,
         for line in header_lines or []:
             fh.write(f"# {line}\n")
         fh.write("lag,r\n")
-        for lag, val in zip(curve.lags, curve.values):
-            fh.write(f"{int(lag)},{float(val)!r}\n")
+        for lag, val in enumerate(curve.values):
+            fh.write(f"{lag},{float(val)!r}\n")

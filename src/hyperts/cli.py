@@ -24,6 +24,7 @@ from .analysis import all_pair_lag_curves, correlation_matrix, \
     write_lag_csv, write_matrix_csv
 from .data import SeriesTable, Scaler, align, load_csv, load_manifest, \
     make_windows, split, standardize
+from .model import read_json
 from .report import build_report, write_report_csv, write_report_json
 from .search import Grid, enumerate_specs, run_search
 from .train import TrainConfig
@@ -79,8 +80,8 @@ def save_dataset(out_dir, table: SeriesTable, scaler: Scaler, target: str,
 
 def load_dataset(data_dir) -> tuple[SeriesTable, Scaler, str]:
     import datetime
-    with open(pathlib.Path(data_dir) / DATASET_FILE) as fh:
-        doc = json.load(fh)
+    doc = read_json(pathlib.Path(data_dir) / DATASET_FILE,
+                    ("dates", "order", "values", "scaler", "target"))
     table = SeriesTable(
         dates=[datetime.date.fromisoformat(d) for d in doc["dates"]],
         order=list(doc["order"]),
@@ -106,15 +107,15 @@ def cmd_ingest(args) -> int:
 
 def cmd_correlate(args) -> int:
     table, _, _ = load_dataset(args.data)
+    matrix = correlation_matrix(table)
+    curves = all_pair_lag_curves(table, max_lag=args.max_lag)
     out = pathlib.Path(args.out) if args.out else \
         pathlib.Path(args.data) / "correlations"
     out.mkdir(parents=True, exist_ok=True)
     meta = _meta(None, {"data": str(args.data), "max_lag": args.max_lag},
                  {"lag_convention": "values[l] = pearson(a[0:n-l], b[l:n])"})
     lines = _meta_lines(meta)
-    matrix = correlation_matrix(table)
     write_matrix_csv(matrix, out / "correlation_matrix.csv", lines)
-    curves = all_pair_lag_curves(table, max_lag=args.max_lag)
     for curve in curves:
         a, b = curve.pair
         write_lag_csv(curve, out / f"lag_{a}_{b}.csv", lines)
@@ -151,8 +152,12 @@ def cmd_search(args) -> int:
         raise ValueError(f"{', '.join(mixed)} cannot be used {mode}")
     if not args.all and args.klass is None:
         raise ValueError("--class is required unless --all is given")
-    if args.max_configs is not None and args.max_configs < 1:
-        raise ValueError(f"max_configs must be >= 1, got {args.max_configs}")
+    if args.klass in ("cnn", "lstm") and args.algebra is not None:
+        raise ValueError(f"--algebra cannot be used with --class {args.klass}")
+    for name, count in (("max_configs", args.max_configs),
+                        ("workers", args.workers)):
+        if count is not None and count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     train = {"epochs": args.epochs, "batch_size": args.batch_size,
              "lr": args.lr}
     config = TrainConfig(**train)
@@ -259,8 +264,9 @@ def make_parser() -> argparse.ArgumentParser:
                    help=f"span of a one-cell search (default {DEFAULT_SPAN})")
     p.add_argument("--order", default=None,
                    help="comma-separated ticker permutation")
-    p.add_argument("--algebra", default="all",
-                   choices=["quaternion", "coquaternion", "cl11", "all"])
+    p.add_argument("--algebra", default=None,
+                   choices=["quaternion", "coquaternion", "cl11", "all"],
+                   help="algebra of the hyper cells (default all)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=100)

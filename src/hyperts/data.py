@@ -13,11 +13,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime
-import json
 import logging
 import math
 
 import numpy as np
+
+from .model import read_json
 
 log = logging.getLogger(__name__)
 
@@ -69,10 +70,6 @@ class WindowedDataset:
 
     x: np.ndarray  # [n, window, channels]
     y: np.ndarray  # [n, span]
-    window: int
-    span: int
-    target: str
-    order: list[str]
     scaler: Scaler | None = None
 
     def __len__(self) -> int:
@@ -182,8 +179,7 @@ def make_windows(table: SeriesTable, target: str, window: int, span: int,
     x = sw[:n].transpose(0, 2, 1).copy()
     yw = np.lib.stride_tricks.sliding_window_view(tgt, span, axis=0)
     y = yw[window:window + n].copy()
-    return WindowedDataset(x=x, y=y, window=window, span=span, target=target,
-                           order=order, scaler=scaler)
+    return WindowedDataset(x=x, y=y, scaler=scaler)
 
 
 def split(dataset: WindowedDataset, cv_fraction: float = 0.8,
@@ -210,8 +206,7 @@ def split(dataset: WindowedDataset, cv_fraction: float = 0.8,
 def load_manifest(path) -> tuple[dict[str, str], list[str], str]:
     """Read a dataset manifest: ticker name -> csv path, channel order, and
     target ticker (defaults to the first in order)."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path, ("tickers", "order"))
     tickers = dict(doc["tickers"])
     order = list(doc["order"])
     target = doc.get("target", order[0])

@@ -20,7 +20,7 @@ from .nn import (Activation, Conv1D, Dense, Dropout, Flatten, HyperDense,
                  Layer, LSTM, MaxPool1D, ShapeError)
 
 CLASS_KINDS = ("cnn", "lstm", "hyper")
-# the fields of a spec's JSON dict, as ModelSpec.to_json_dict writes them
+# a spec's JSON fields, in the order ModelSpec.to_json_dict writes them
 SPEC_FIELDS = ("test_layer", "n_dense1", "n_dense2", "dense_units",
                "dense_activation", "window", "span", "seed")
 
@@ -45,6 +45,20 @@ def require_keys(doc: dict, keys, where) -> None:
     missing = [key for key in keys if key not in doc]
     if missing:
         raise ValueError(f"{where}: no {' or '.join(missing)} in the document")
+
+
+def read_json(path, keys) -> dict:
+    """The JSON object in the file at ``path``; raises ``ValueError`` naming
+    ``path`` if the file does not parse, holds no object, or lacks ``keys``."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    require_keys(doc, keys, path)
+    return doc
 
 
 def spec_key(spec_doc: dict) -> str:
@@ -100,32 +114,24 @@ class ModelSpec:
         return f"{self.kind}:{self.size}"
 
     def to_json_dict(self) -> dict:
-        return {
-            "test_layer": self.test_layer_code(),
-            "n_dense1": self.n_dense1,
-            "n_dense2": self.n_dense2,
-            "dense_units": self.dense_units,
-            "dense_activation": self.dense_activation,
-            "window": self.window,
-            "span": self.span,
-            "seed": self.seed,
-        }
+        return {"test_layer": self.test_layer_code(),
+                **{field: getattr(self, field) for field in SPEC_FIELDS[1:]}}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelSpec":
         """The spec ``to_json_dict`` wrote; raises ``ValueError`` naming
-        the spec and its missing fields if it lacks any."""
-        require_keys(doc, SPEC_FIELDS, f"spec {spec_key(doc)}")
-        parts = doc["test_layer"].split(":")
-        kind = parts[0]
-        size = int(parts[1])
-        algebra = parts[2] if kind == "hyper" else None
-        return cls(kind=kind, size=size, algebra=algebra,
-                   n_dense1=int(doc["n_dense1"]), n_dense2=int(doc["n_dense2"]),
-                   dense_units=int(doc["dense_units"]),
-                   dense_activation=doc["dense_activation"],
-                   window=int(doc["window"]), span=int(doc["span"]),
-                   seed=int(doc["seed"]))
+        the spec if it lacks any field or its test layer is malformed."""
+        where = f"spec {spec_key(doc)}"
+        require_keys(doc, SPEC_FIELDS, where)
+        kind, *rest = str(doc["test_layer"]).split(":")
+        if len(rest) != (2 if kind == "hyper" else 1):
+            raise ValueError(f"{where}: test_layer is not kind:size or"
+                             f" hyper:size:algebra")
+        ints = {field: int(doc[field]) for field in SPEC_FIELDS[1:]
+                if field != "dense_activation"}
+        return cls(kind=kind, size=int(rest[0]),
+                   algebra=rest[1] if kind == "hyper" else None,
+                   dense_activation=doc["dense_activation"], **ints)
 
     def canonical(self) -> str:
         """Stable key used for ledgers, dedup, and resume."""
@@ -280,10 +286,9 @@ def load_model(path) -> Model:
     """Rebuild a model from the weight document ``Model.save`` wrote to
     ``path``. A document already in memory loads with
     ``build(ModelSpec.from_json_dict(doc["spec"])).load_params(doc)``.
-    A document without ``spec`` or ``params`` raises ``ValueError``."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    require_keys(doc, ("spec", "params"), path)
+    A file that is not a JSON object with ``spec`` and ``params`` raises
+    ``ValueError``."""
+    doc = read_json(path, ("spec", "params"))
     model = build(ModelSpec.from_json_dict(doc["spec"]))
     model.load_params(doc)
     return model

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import pathlib
 
-from .model import require_keys
+from .model import read_json
 
 CANONICAL_LABELS = ["CNN", "LSTM", "H", "HR"]
 BEST_FIELDS = ("mean_mae", "holdout_mae", "param_count", "spec")
@@ -34,12 +34,8 @@ def build_report(results_dir) -> dict:
         best_path = cell_path.parent / "best.json"
         if not best_path.exists():
             continue
-        with open(cell_path) as fh:
-            cell = json.load(fh)
-        with open(best_path) as fh:
-            best = json.load(fh)
-        require_keys(cell, ("label", "window", "span"), cell_path)
-        require_keys(best, BEST_FIELDS, best_path)
+        cell = read_json(cell_path, ("label", "window", "span"))
+        best = read_json(best_path, BEST_FIELDS)
         label = cell["label"]
         window, span = int(cell["window"]), int(cell["span"])
         other = dirs.setdefault((label, window, span), cell_path.parent)

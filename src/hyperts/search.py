@@ -62,12 +62,14 @@ class Grid:
                        algebras=tuple(algebras or ALL_ALGEBRAS))
         raise ValueError(f"unknown class {kind!r}")
 
+    def axes(self) -> tuple[tuple, ...]:
+        """The value lists in ``ModelSpec`` field order, size to activation."""
+        algebras = self.algebras if self.kind == "hyper" else (None,)
+        return (self.sizes, algebras, self.n_dense1, self.n_dense2,
+                self.dense_units, self.activations)
+
     def raw_size(self) -> int:
-        n = len(self.sizes) * len(self.n_dense1) * len(self.n_dense2) \
-            * len(self.dense_units) * len(self.activations)
-        if self.kind == "hyper":
-            n *= len(self.algebras)
-        return n
+        return math.prod(len(axis) for axis in self.axes())
 
 
 def enumerate_specs(grid: Grid, window: int, span: int,
@@ -78,12 +80,10 @@ def enumerate_specs(grid: Grid, window: int, span: int,
     axes are inert: those combinations collapse to one canonical spec with
     the grid's first dense_units and activation values.
     """
-    algebras = grid.algebras if grid.kind == "hyper" else (None,)
     specs: list[ModelSpec] = []
     seen: set[str] = set()
     for size, algebra, nd1, nd2, units, act in itertools.product(
-            grid.sizes, algebras, grid.n_dense1, grid.n_dense2,
-            grid.dense_units, grid.activations):
+            *grid.axes()):
         if nd1 == 0 and nd2 == 0:
             units, act = grid.dense_units[0], grid.activations[0]
         spec = ModelSpec(kind=grid.kind, size=size, algebra=algebra,

@@ -8,7 +8,7 @@ the package is checked against a second transcription.
 import numpy as np
 import pytest
 
-from hyperts.algebra import AlgebraKind, hadd, hmul, left_mul_matrix, table_for
+from hyperts.algebra import AlgebraKind, hmul, left_mul_matrix, table_for
 
 # (a, b) -> (d, sign) for the imaginary units, basis order (1, i, j, k).
 EXPECTED_RULES = {
@@ -127,20 +127,6 @@ class TestHmul:
             lhs = hmul(hmul(a, b, q), c, q)
             rhs = hmul(a, hmul(b, c, q), q)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-class TestHadd:
-    def test_zero_identity(self, rng):
-        x = rng.normal(size=4)
-        np.testing.assert_array_equal(hadd(np.zeros(4), x), x)
-
-    def test_hand_sum(self):
-        got = hadd([1, 1, 0, 0], [0, 0, 1, 1])
-        np.testing.assert_array_equal(got, [1, 1, 1, 1])
-
-    def test_additive_inverse(self, rng):
-        x = rng.normal(size=4)
-        np.testing.assert_array_equal(hadd(x, -x), np.zeros(4))
 
 
 class TestLeftMulMatrix:

@@ -84,6 +84,11 @@ class TestLaggedCorrelation:
             lagged_correlation(rng.normal(size=10), rng.normal(size=10),
                                max_lag=9)
 
+    def test_negative_max_lag_rejected(self, rng):
+        x = rng.normal(size=20)
+        with pytest.raises(ValueError, match="max_lag must be >= 0, got -1"):
+            lagged_correlation(x, x, max_lag=-1)
+
 
 class TestArtifacts:
     def test_pair_count(self):
@@ -111,4 +116,6 @@ class TestArtifacts:
         lines = path.read_text().splitlines()
         assert lines[0] == "lag,r"
         assert len(lines) == 5
+        assert [line.split(",")[0] for line in lines[1:]] == \
+            ["0", "1", "2", "3"]
         assert float(lines[1].split(",")[1]) == pytest.approx(curve.values[0])

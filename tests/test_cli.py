@@ -48,6 +48,18 @@ class TestIngest:
         assert run(["ingest", "--manifest", manifest,
                     "--out", tmp_path / "d"]) != 0
 
+    @pytest.mark.parametrize("doc,error", [
+        ({"order": ["A"]}, "no tickers in the document"),
+        (["A"], "not a JSON object"),
+    ], ids=["no-tickers", "array"])
+    def test_malformed_manifest_names_it(self, tmp_path, doc, error, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(doc))
+        out = tmp_path / "d"
+        assert run(["ingest", "--manifest", manifest, "--out", out]) == 1
+        assert f"error: {manifest}: {error}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_idempotent_artifacts(self, tmp_path):
         table = synthetic_table(n=50)
         manifest = write_ticker_csvs(tmp_path, table)
@@ -83,6 +95,30 @@ class TestCorrelate:
 
     def test_missing_dataset_nonzero_exit(self, tmp_path):
         assert run(["correlate", "--data", tmp_path / "nothing"]) != 0
+
+    def test_dataset_without_scaler_names_it(self, ingested, capsys):
+        path = ingested / "dataset.json"
+        doc = json.loads(path.read_text())
+        del doc["scaler"]
+        path.write_text(json.dumps(doc))
+        assert run(["correlate", "--data", ingested]) == 1
+        assert f"error: {path}: no scaler in the document" in \
+            capsys.readouterr().err
+
+    def test_unparseable_dataset_names_it(self, ingested, capsys):
+        path = ingested / "dataset.json"
+        path.write_text("")
+        assert run(["correlate", "--data", ingested]) == 1
+        assert f"error: {path}: Expecting value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_lag", [-1, -3])
+    def test_negative_max_lag_exits_1_before_writing(self, ingested, max_lag,
+                                                     capsys):
+        assert run(["correlate", "--data", ingested,
+                    "--max-lag", max_lag]) == 1
+        assert f"max_lag must be >= 0, got {max_lag}" in \
+            capsys.readouterr().err
+        assert not (ingested / "correlations").exists()
 
 
 SMOKE = ["--epochs", 3, "--sizes", "2", "--algebra", "quaternion",
@@ -187,10 +223,23 @@ class TestSearch:
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_exits_1(self, ingested, tmp_path,
                                             workers, capsys):
+        out = tmp_path / "cell"
         assert run(["search", "--class", "h", "--data", ingested,
-                    "--out", tmp_path / "cell", "--workers", workers]
-                   + SMOKE) == 1
+                    "--out", out, "--workers", workers] + SMOKE) == 1
         assert "workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("klass", ["cnn", "lstm"])
+    @pytest.mark.parametrize("algebra", ["quaternion", "all"])
+    def test_algebra_without_hyper_class_exits_1(self, ingested, tmp_path,
+                                                 klass, algebra, capsys):
+        out = tmp_path / "cell"
+        assert run(["search", "--class", klass, "--data", ingested,
+                    "--out", out, "--algebra", algebra, "--sizes", "8",
+                    "--max-configs", 1, "--epochs", 1]) == 1
+        assert f"--algebra cannot be used with --class {klass}" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("max_configs", [0, -1])
     def test_max_configs_below_one_exits_1(self, ingested, tmp_path,
@@ -306,6 +355,19 @@ class TestReport:
         assert not out.exists()
         err = capsys.readouterr().err
         assert f"error: {d / 'cell.json'}: no {key} in the document" in err
+
+    def test_unparseable_best_document_names_it(self, tmp_path, capsys):
+        d = tmp_path / "results" / "H_w10_s1"
+        d.mkdir(parents=True)
+        (d / "cell.json").write_text(json.dumps(
+            {"label": "H", "window": 10, "span": 1}))
+        (d / "best.json").write_text("{")
+        out = tmp_path / "grid.csv"
+        assert run(["report", "--in", tmp_path / "results", "--out",
+                    out]) == 1
+        assert not out.exists()
+        assert f"error: {d / 'best.json'}: Expecting" in \
+            capsys.readouterr().err
 
     def test_two_cells_with_same_label_window_span_rejected(self, tmp_path,
                                                             capsys):

@@ -192,7 +192,7 @@ class TestMakeWindows:
                             order=["C3", "C1", "C0", "C2"])
         np.testing.assert_array_equal(perm.y, base.y)
         for j, name in enumerate(["C3", "C1", "C0", "C2"]):
-            k = base.order.index(name)
+            k = table.order.index(name)
             np.testing.assert_array_equal(perm.x[:, :, j], base.x[:, :, k])
 
     def test_bad_order_rejected(self, rng):

@@ -11,6 +11,7 @@ from conftest import check_model_gradients
 from hyperts.model import (SPEC_FIELDS, Model, ModelSpec, build, load_model,
                            min_window)
 from hyperts.nn import ShapeError
+from hyperts.search import Grid, enumerate_specs
 from hyperts.train import TrainConfig, fit
 
 
@@ -235,6 +236,12 @@ class TestSerialization:
             load_model(path)
         assert str(path) in str(info.value)
 
+    def test_load_rejects_document_that_is_not_an_object(self, tmp_path):
+        path = self.saved_doc(tmp_path, [])
+        with pytest.raises(ValueError, match="not a JSON object$") as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
     def test_load_rejects_spec_without_fields(self, tmp_path):
         path = self.saved_doc(tmp_path, {"spec": {"test_layer": "cnn:2"},
                                          "params": []})
@@ -253,15 +260,22 @@ class TestSerialization:
                            match=f"^spec {{.*}}: no {field} in the document$"):
             ModelSpec.from_json_dict(doc)
 
+    @pytest.mark.parametrize("test_layer", ["hyper:8", "cnn", "cnn:8:cl11", 8])
+    def test_malformed_test_layer_names_the_spec(self, test_layer):
+        doc = dict(spec_for("cnn", 8).to_json_dict(), test_layer=test_layer)
+        with pytest.raises(ValueError, match=f"^spec {{.*}}: test_layer is"
+                           f" not kind:size or hyper:size:algebra$"):
+            ModelSpec.from_json_dict(doc)
+
     def test_spec_json_round_trip(self):
-        spec = spec_for("hyper", 4, "coquaternion", n_dense1=1,
-                        dense_units=16, dense_activation="relu", window=20,
-                        span=5, seed=9)
-        doc = json.loads(json.dumps(spec.to_json_dict()))
-        assert ModelSpec.from_json_dict(doc) == spec
-        assert set(doc) == {"test_layer", "n_dense1", "n_dense2",
-                            "dense_units", "dense_activation", "window",
-                            "span", "seed"}
+        specs = [spec for kind in ("cnn", "lstm", "hyper")
+                 for spec in enumerate_specs(Grid.default(kind), window=20,
+                                             span=5, seed=9)]
+        assert len(specs) == 125 + 125 + 450
+        for spec in specs:
+            doc = json.loads(json.dumps(spec.to_json_dict()))
+            assert list(doc) == list(SPEC_FIELDS)
+            assert ModelSpec.from_json_dict(doc) == spec
 
     def test_canonical_is_stable(self):
         spec = spec_for("cnn", 8)
