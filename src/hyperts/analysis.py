@@ -8,6 +8,7 @@ import itertools
 import numpy as np
 
 from .data import SeriesTable
+from .model import write_csv
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -83,20 +84,12 @@ def all_pair_lag_curves(table: SeriesTable,
 
 def write_matrix_csv(matrix: CorrelationMatrix, path,
                      header_lines: list[str] | None = None) -> None:
-    with open(path, "w") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        fh.write("," + ",".join(matrix.tickers) + "\n")
-        for name, row in zip(matrix.tickers, matrix.r):
-            fh.write(name + "," + ",".join(repr(float(v)) for v in row)
-                     + "\n")
+    write_csv(path, header_lines, [["", *matrix.tickers]] + [
+        [name, *map(repr, row)] for name, row in
+        zip(matrix.tickers, matrix.r.tolist())])
 
 
 def write_lag_csv(curve: LaggedCorrelation, path,
                   header_lines: list[str] | None = None) -> None:
-    with open(path, "w") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        fh.write("lag,r\n")
-        for lag, val in enumerate(curve.values):
-            fh.write(f"{lag},{float(val)!r}\n")
+    write_csv(path, header_lines, [["lag", "r"]] + [
+        [str(lag), repr(r)] for lag, r in enumerate(curve.values.tolist())])

@@ -24,9 +24,9 @@ from .analysis import all_pair_lag_curves, correlation_matrix, \
     write_lag_csv, write_matrix_csv
 from .data import SeriesTable, Scaler, align, load_csv, load_manifest, \
     make_windows, split, standardize
-from .model import read_json
+from .model import read_json, require_keys, spec_key, write_csv, write_json
 from .report import build_report, write_report_csv, write_report_json
-from .search import Grid, enumerate_specs, run_search
+from .search import CELL_FILE, Grid, enumerate_specs, run_search
 from .train import TrainConfig
 
 DATASET_FILE = "dataset.json"
@@ -39,8 +39,7 @@ DEFAULT_SPANS = [1, 5, 10, 20]
 
 
 def _config_hash(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return hashlib.sha256(spec_key(payload).encode()).hexdigest()[:16]
 
 
 def _meta(seed, payload, defaults) -> dict:
@@ -69,19 +68,16 @@ def save_dataset(out_dir, table: SeriesTable, scaler: Scaler, target: str,
     }
     with open(out / DATASET_FILE, "w") as fh:
         fh.write(json.dumps(doc, sort_keys=True) + "\n")
-    with open(out / TABLE_FILE, "w") as fh:
-        for line in _meta_lines(meta):
-            fh.write(f"# {line}\n")
-        fh.write("Date," + ",".join(table.order) + "\n")
-        for day, row in zip(table.dates, table.values):
-            fh.write(day.isoformat() + ","
-                     + ",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(out / TABLE_FILE, _meta_lines(meta), [["Date", *table.order]]
+              + [[day.isoformat(), *map(repr, row)]
+                 for day, row in zip(table.dates, table.values.tolist())])
 
 
 def load_dataset(data_dir) -> tuple[SeriesTable, Scaler, str]:
     import datetime
-    doc = read_json(pathlib.Path(data_dir) / DATASET_FILE,
-                    ("dates", "order", "values", "scaler", "target"))
+    path = pathlib.Path(data_dir) / DATASET_FILE
+    doc = read_json(path, ("dates", "order", "values", "scaler", "target"))
+    require_keys(doc["scaler"], ("order", "mean", "std"), f"{path}: scaler")
     table = SeriesTable(
         dates=[datetime.date.fromisoformat(d) for d in doc["dates"]],
         order=list(doc["order"]),
@@ -201,18 +197,16 @@ def cmd_search(args) -> int:
         specs = enumerate_specs(grid, window, span, args.seed)
         specs = specs[:args.max_configs]
 
-        out.mkdir(parents=True, exist_ok=True)
+        result = run_search(specs, dataset, plan, out, config=config,
+                            base_seed=args.seed, workers=args.workers)
+        # written after the search, so that a refused rerun changes no file
         common = {"class": kind, "window": window, "span": span,
                   "order": order, "seed": args.seed,
                   "grid_raw_size": grid.raw_size(), "configs": len(specs)}
         meta = _meta(args.seed, dict(common, **train),
                      dict(train, cv_fraction=0.8, folds=len(plan.folds)))
-        with open(out / "cell.json", "w") as fh:
-            json.dump(dict(common, label=label, target=target, meta=meta),
-                      fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        result = run_search(specs, dataset, plan, out, config=config,
-                            base_seed=args.seed, workers=args.workers)
+        write_json(out / CELL_FILE,
+                   dict(common, label=label, target=target, meta=meta))
         print(f"{label} window={window} span={span}: best mean MAE"
               f" {result.best['mean_mae']:.4f},"
               f" params {result.best['param_count']},"

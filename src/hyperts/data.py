@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .model import read_json
+from .model import read_json, require_keys
 
 log = logging.getLogger(__name__)
 
@@ -207,6 +207,9 @@ def load_manifest(path) -> tuple[dict[str, str], list[str], str]:
     """Read a dataset manifest: ticker name -> csv path, channel order, and
     target ticker (defaults to the first in order)."""
     doc = read_json(path, ("tickers", "order"))
+    require_keys(doc["tickers"], (), f"{path}: tickers")
+    if not isinstance(doc["order"], list):
+        raise ValueError(f"{path}: order is not a JSON list")
     tickers = dict(doc["tickers"])
     order = list(doc["order"])
     target = doc.get("target", order[0])

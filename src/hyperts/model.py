@@ -39,9 +39,11 @@ def min_window(kind: str) -> int:
     return POOL_SIZE
 
 
-def require_keys(doc: dict, keys, where) -> None:
-    """Raise ``ValueError`` naming ``where`` and every one of ``keys`` that
-    the JSON document ``doc`` lacks."""
+def require_keys(doc, keys, where) -> None:
+    """Raise ``ValueError`` naming ``where`` if the JSON document ``doc`` is
+    not an object, or naming every one of ``keys`` that it lacks."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: not a JSON object")
     missing = [key for key in keys if key not in doc]
     if missing:
         raise ValueError(f"{where}: no {' or '.join(missing)} in the document")
@@ -55,15 +57,32 @@ def read_json(path, keys) -> dict:
             doc = json.load(fh)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: not a JSON object")
     require_keys(doc, keys, path)
     return doc
 
 
-def spec_key(spec_doc: dict) -> str:
-    """Canonical serialization of a spec's JSON dict (the ledger key)."""
-    return json.dumps(spec_doc, sort_keys=True, separators=(",", ":"))
+def write_json(path, doc) -> None:
+    """Write ``doc`` to ``path`` as key-sorted JSON indented by 2, with a
+    trailing newline: the format of every JSON file a person reads."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def write_csv(path, comments, rows) -> None:
+    """Write one ``# `` line per comment, then each row of cells the caller
+    has already formatted, comma-joined: the format of every CSV artifact."""
+    with open(path, "w") as fh:
+        for line in comments or ():
+            fh.write(f"# {line}\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def spec_key(doc) -> str:
+    """Compact key-sorted JSON of ``doc``: a spec's ledger key, and the text
+    a configuration hash is taken of."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -8,10 +8,10 @@ count, flagging the minimum-parameter label in each cell.
 
 from __future__ import annotations
 
-import json
 import pathlib
 
-from .model import read_json
+from .model import read_json, write_csv, write_json
+from .search import BEST_FILE, CELL_FILE
 
 CANONICAL_LABELS = ["CNN", "LSTM", "H", "HR"]
 BEST_FIELDS = ("mean_mae", "holdout_mae", "param_count", "spec")
@@ -30,8 +30,8 @@ def build_report(results_dir) -> dict:
     either document lacks a field the report reads."""
     grid: dict[tuple[int, int], dict] = {}
     dirs: dict[tuple[str, int, int], pathlib.Path] = {}
-    for cell_path in sorted(pathlib.Path(results_dir).glob("**/cell.json")):
-        best_path = cell_path.parent / "best.json"
+    for cell_path in sorted(pathlib.Path(results_dir).glob("**/" + CELL_FILE)):
+        best_path = cell_path.parent / BEST_FILE
         if not best_path.exists():
             continue
         cell = read_json(cell_path, ("label", "window", "span"))
@@ -67,27 +67,19 @@ def write_report_csv(report: dict, path,
     for label in labels:
         cols += [f"{label}_mae", f"{label}_holdout_mae", f"{label}_params"]
     cols.append("min_params_label")
-    with open(path, "w") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(cols) + "\n")
-        for cell in report["cells"]:
-            row = [str(cell["window"]), str(cell["span"])]
-            for label in labels:
-                info = cell["classes"].get(label)
-                if info is None:
-                    row += ["", "", ""]
-                else:
-                    row += [repr(info["mean_mae"]), repr(info["holdout_mae"]),
-                            str(info["param_count"])]
-            row.append(cell["min_params_label"])
-            fh.write(",".join(row) + "\n")
+    rows = [cols]
+    for cell in report["cells"]:
+        row = [str(cell["window"]), str(cell["span"])]
+        for label in labels:
+            info = cell["classes"].get(label)
+            if info is None:
+                row += ["", "", ""]
+            else:
+                row += [repr(info["mean_mae"]), repr(info["holdout_mae"]),
+                        str(info["param_count"])]
+        rows.append(row + [cell["min_params_label"]])
+    write_csv(path, header_lines, rows)
 
 
 def write_report_json(report: dict, path, meta: dict | None = None) -> None:
-    doc = dict(report)
-    if meta:
-        doc["meta"] = meta
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, dict(report, meta=meta) if meta else report)

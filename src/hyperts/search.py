@@ -2,16 +2,19 @@
 resumable (optionally parallel) exhaustive search.
 
 Every evaluated configuration is appended to ``progress.ndjson`` as soon as
-it completes, so an interrupted search resumes without recomputation; the
-final ``results.ndjson`` is rewritten in canonical spec order and carries no
-timing, so repeated runs with the same seed are byte-identical regardless
-of worker count or completion order.
+it completes, stamped with a hash of the run's settings and data, so an
+interrupted search resumes without recomputation and a rerun under other
+settings is refused; the final ``results.ndjson`` keeps only
+``CANONICAL_FIELDS`` (no timing, no stamp) in canonical spec order, so
+repeated runs with the same seed are byte-identical regardless of worker
+count or completion order.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -22,9 +25,10 @@ import numpy as np
 
 from .algebra import AlgebraKind
 from .data import SplitPlan, WindowedDataset
-from .model import Model, ModelSpec, build, spec_key
+from .model import Model, ModelSpec, build, spec_key, write_json
 from .train import TrainConfig, evaluate, fit, write_history_csv
 
+CELL_FILE = "cell.json"
 PROGRESS_FILE = "progress.ndjson"
 RESULTS_FILE = "results.ndjson"
 BEST_FILE = "best.json"
@@ -37,6 +41,8 @@ HYPER_SIZES = [1, 2, 4, 8, 16, 32]
 DENSE_UNITS = [8, 16, 32, 64]
 ACTIVATIONS = ["linear", "relu"]
 ALL_ALGEBRAS = [k.value for k in AlgebraKind]
+# the fields of a ledger record that results.ndjson and best.json keep
+CANONICAL_FIELDS = ("spec", "fold_maes", "mean_mae", "param_count")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,9 +168,23 @@ def _eval_spec(spec: ModelSpec, dataset: WindowedDataset, plan: SplitPlan,
     }
 
 
+def _run_stamp(dataset: WindowedDataset, plan: SplitPlan,
+               config: TrainConfig, base_seed: int) -> str:
+    """Hash of all that a ledger record's scores depend on besides its spec:
+    the training settings with the base seed in place of ``config.seed``
+    (which ``_fit_fold`` overrides), the split sizes and the windowed data."""
+    settings = dict(dataclasses.asdict(config), seed=base_seed,
+                    cv=len(plan.cv_indices),
+                    folds=[len(fold) for fold in plan.folds],
+                    shapes=[dataset.x.shape, dataset.y.shape])
+    digest = hashlib.sha256(spec_key(settings).encode())
+    for array in (dataset.x, dataset.y):
+        digest.update(np.ascontiguousarray(array, dtype=np.float64))
+    return digest.hexdigest()[:16]
+
+
 @dataclasses.dataclass
 class SearchResult:
-    records: list[dict]
     best: dict
     holdout_mae: float
 
@@ -180,7 +200,10 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
     below 1 raises ``ValueError``, as does an empty ``specs``. Specs already
     in the ledger (keyed by ``spec_key``) are skipped on resume; a ledger
     line torn by a kill mid-write is cut off and its spec scored again,
-    while a complete line that does not parse raises. After scoring, the
+    while a complete line that does not parse raises. A record stamped by
+    another run (other training settings, base seed, split or data, see
+    ``_run_stamp``), or not stamped, raises ``ValueError`` naming the
+    ledger before any file is written. After scoring, the
     best spec is retrained on the full CV block and scored on the holdout
     block; its weights are saved alongside the ledgers.
     """
@@ -192,6 +215,7 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     progress_path = out / PROGRESS_FILE
+    run = _run_stamp(dataset, plan, config, base_seed)
 
     done: dict[str, dict] = {}
     ledger_bytes = progress_path.read_bytes() if progress_path.exists() \
@@ -200,6 +224,10 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
     for line in intact.splitlines():
         if line.strip():
             record = json.loads(line)
+            if record.get("run") != run:
+                raise ValueError(
+                    f"{progress_path}: scored under other training settings,"
+                    f" seed, split or data; search into a new directory")
             done.setdefault(spec_key(record["spec"]), record)
 
     wanted = {spec.canonical(): spec for spec in specs}
@@ -209,7 +237,8 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
         ledger.truncate(len(intact))  # drop a torn last record
 
         def note(record):
-            ledger.write(json.dumps(record, sort_keys=True) + "\n")
+            ledger.write(json.dumps(dict(record, run=run), sort_keys=True)
+                         + "\n")
             ledger.flush()
             done[spec_key(record["spec"])] = record
 
@@ -223,10 +252,8 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
                 for fut in concurrent.futures.as_completed(futures):
                     note(fut.result())
 
-    records = [done[key] for key in sorted(wanted)]
-    canonical = [{k: r[k] for k in
-                  ("spec", "fold_maes", "mean_mae", "param_count")}
-                 for r in records]
+    canonical = [{k: done[key][k] for k in CANONICAL_FIELDS}
+                 for key in sorted(wanted)]
     with open(out / RESULTS_FILE, "w") as fh:
         for record in canonical:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -241,8 +268,5 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
     write_history_csv(history, out / BEST_HISTORY_FILE,
                       header_lines=[f"spec: {spec.canonical()}"])
 
-    with open(out / BEST_FILE, "w") as fh:
-        json.dump(dict(best, holdout_mae=holdout_mae), fh, sort_keys=True,
-                  indent=2)
-        fh.write("\n")
-    return SearchResult(records=canonical, best=best, holdout_mae=holdout_mae)
+    write_json(out / BEST_FILE, dict(best, holdout_mae=holdout_mae))
+    return SearchResult(best=best, holdout_mae=holdout_mae)

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .model import Model
+from .model import Model, write_csv
 from .nn import ShapeError
 
 
@@ -144,9 +144,6 @@ def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> float:
 def write_history_csv(history: list[tuple[float, float]], path,
                       header_lines: list[str] | None = None) -> None:
     """Persist a fit() history as epoch,loss,mae rows."""
-    with open(path, "w") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        fh.write("epoch,loss,mae\n")
-        for epoch, (loss, score) in enumerate(history, start=1):
-            fh.write(f"{epoch},{loss!r},{score!r}\n")
+    write_csv(path, header_lines, [["epoch", "loss", "mae"]] + [
+        [str(epoch), repr(loss), repr(score)]
+        for epoch, (loss, score) in enumerate(history, start=1)])

@@ -51,7 +51,10 @@ class TestIngest:
     @pytest.mark.parametrize("doc,error", [
         ({"order": ["A"]}, "no tickers in the document"),
         (["A"], "not a JSON object"),
-    ], ids=["no-tickers", "array"])
+        ({"tickers": ["A"], "order": ["A"]}, "tickers: not a JSON object"),
+        ({"tickers": {"A": "a.csv"}, "order": "A"},
+         "order is not a JSON list"),
+    ], ids=["no-tickers", "array", "tickers-array", "order-string"])
     def test_malformed_manifest_names_it(self, tmp_path, doc, error, capsys):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps(doc))
@@ -105,6 +108,19 @@ class TestCorrelate:
         assert f"error: {path}: no scaler in the document" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault,error", [
+        (lambda s: {k: v for k, v in s.items() if k != "mean"},
+         "scaler: no mean in the document"),
+        (lambda s: list(s.values()), "scaler: not a JSON object"),
+    ], ids=["no-mean", "array"])
+    def test_malformed_scaler_names_it(self, ingested, fault, error, capsys):
+        path = ingested / "dataset.json"
+        doc = json.loads(path.read_text())
+        doc["scaler"] = fault(doc["scaler"])
+        path.write_text(json.dumps(doc))
+        assert run(["correlate", "--data", ingested]) == 1
+        assert f"error: {path}: {error}" in capsys.readouterr().err
+
     def test_unparseable_dataset_names_it(self, ingested, capsys):
         path = ingested / "dataset.json"
         path.write_text("")
@@ -147,6 +163,22 @@ class TestSearch:
             (out2 / "best.json").read_bytes()
         assert (out1 / "results.ndjson").read_bytes() == \
             (out2 / "results.ndjson").read_bytes()
+
+    @pytest.mark.parametrize("flags", [
+        ["--epochs", 4], ["--lr", 0.01], ["--batch-size", 8], ["--seed", 10],
+        ["--order", "T1,T2,T3,T0"],
+    ], ids=["epochs", "lr", "batch-size", "seed", "order"])
+    def test_rerun_under_other_settings_exits_1_and_changes_nothing(
+            self, ingested, tmp_path, flags, capsys):
+        out = tmp_path / "cell"
+        argv = ["search", "--class", "h", "--data", ingested, "--out", out]
+        assert run(argv + SMOKE) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert run(argv + SMOKE + flags) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {out / 'progress.ndjson'}: scored under other")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_reordered_input_labeled_hr(self, ingested, tmp_path):
         out = tmp_path / "cell"

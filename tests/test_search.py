@@ -95,6 +95,12 @@ def hyper_spec(size=1, seed=0, **kw):
 FAST = TrainConfig(epochs=5, batch_size=32, seed=0)
 
 
+def read_results(out):
+    """The records of the canonical ledger ``results.ndjson`` in ``out``."""
+    return [json.loads(line)
+            for line in (out / "results.ndjson").read_text().splitlines()]
+
+
 class TestCrossValidate:
     def test_returns_10_fold_maes(self):
         ds, plan = small_dataset()
@@ -156,8 +162,9 @@ class TestRunSearch:
         specs = [hyper_spec()]
         result = run_search(specs, ds, plan, tmp_path, config=FAST,
                             base_seed=1)
-        assert len(result.records) == 1
-        assert result.best == result.records[0]
+        records = read_results(tmp_path)
+        assert len(records) == 1
+        assert result.best == records[0]
         assert (tmp_path / "results.ndjson").exists()
         assert (tmp_path / "best.json").exists()
         assert (tmp_path / "best_model.json").exists()
@@ -177,7 +184,7 @@ class TestRunSearch:
             oracle[spec.canonical()] = mean
         result = run_search(specs, ds, plan, tmp_path, config=FAST,
                             base_seed=5)
-        for record in result.records:
+        for record in read_results(tmp_path):
             key = ModelSpec.from_json_dict(record["spec"]).canonical()
             assert record["mean_mae"] == oracle[key]
         want_best = min(oracle, key=oracle.get)
@@ -228,6 +235,51 @@ class TestRunSearch:
         (tmp_path / "progress.ndjson").write_text('{"spec": \n')
         with pytest.raises(json.JSONDecodeError):
             run_search([hyper_spec()], ds, plan, tmp_path, config=FAST)
+
+    @pytest.mark.parametrize("change", ["epochs", "lr", "batch_size",
+                                        "base_seed", "data", "split"])
+    def test_rerun_under_other_settings_raises_and_writes_nothing(
+            self, change, tmp_path):
+        ds, plan = small_dataset()
+        run_search([hyper_spec()], ds, plan, tmp_path, config=FAST,
+                   base_seed=2)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        other_ds, other_plan = small_dataset(seed=12)
+        rerun = {
+            "epochs": {"config": dataclasses.replace(FAST, epochs=6)},
+            "lr": {"config": dataclasses.replace(FAST, lr=1e-2)},
+            "batch_size": {"config": dataclasses.replace(FAST, batch_size=8)},
+            "base_seed": {"base_seed": 3},
+            "data": {"dataset": other_ds, "plan": other_plan},
+            "split": {"plan": split(ds, cv_fraction=0.7, folds=10)},
+        }[change]
+        args = {"dataset": ds, "plan": plan, "config": FAST, "base_seed": 2,
+                **rerun}
+        with pytest.raises(ValueError, match="scored under other") as info:
+            run_search([hyper_spec(), hyper_spec(size=2)],
+                       out_dir=tmp_path, **args)
+        assert str(tmp_path / "progress.ndjson") in str(info.value)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_unstamped_ledger_raises(self, tmp_path):
+        ds, plan = small_dataset()
+        run_search([hyper_spec()], ds, plan, tmp_path, config=FAST)
+        ledger = tmp_path / "progress.ndjson"
+        records = [json.loads(l) for l in ledger.read_text().splitlines()]
+        ledger.write_text("".join(
+            json.dumps({k: v for k, v in r.items() if k != "run"}) + "\n"
+            for r in records))
+        with pytest.raises(ValueError, match="scored under other"):
+            run_search([hyper_spec()], ds, plan, tmp_path, config=FAST)
+
+    def test_other_shuffle_seed_still_resumes(self, tmp_path):
+        # each fold derives its own shuffle seed, so config.seed is unused
+        ds, plan = small_dataset()
+        run_search([hyper_spec()], ds, plan, tmp_path, config=FAST)
+        run_search([hyper_spec()], ds, plan, tmp_path,
+                   config=dataclasses.replace(FAST, seed=5))
+        assert len((tmp_path / "progress.ndjson").read_text()
+                   .splitlines()) == 1
 
     def test_every_spec_once_in_ledger(self, tmp_path):
         ds, plan = small_dataset()

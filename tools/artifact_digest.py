@@ -13,7 +13,8 @@ H cell of all three algebras with and without the per-step Dense;
 resumed from its ledger; and ``h_workers``, the H cell scored by two worker
 processes. The files of ``h_resumed`` and ``h_workers`` must equal those of
 ``h``. It prints one ``sha256  relative/path`` line per file written,
-sorted by path, except ``progress.ndjson`` (a timing ledger, not a
+sorted by path, except ``progress.ndjson`` (the resume ledger, whose
+records also hold each config's seconds and the run's stamp, so it is not a
 canonical artifact). The CLI's own messages go to standard error.
 
 Two builds of the package produce the same artifacts exactly when the
@@ -131,7 +132,7 @@ def run_all(out: pathlib.Path) -> None:
 
 
 def canonical_files(out: pathlib.Path) -> list[str]:
-    """Relative paths of every file under ``out`` except the timing
+    """Relative paths of every file under ``out`` except the resume
     ledgers, sorted."""
     return sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
                   if p.is_file() and p.name != "progress.ndjson")
