@@ -23,6 +23,10 @@ CLASS_KINDS = ("cnn", "lstm", "hyper")
 # a spec's JSON fields, in the order ModelSpec.to_json_dict writes them
 SPEC_FIELDS = ("test_layer", "n_dense1", "n_dense2", "dense_units",
                "dense_activation", "window", "span", "seed")
+# the fields of each ``params`` entry of a weight document
+PARAM_ENTRY_FIELDS = ("layer", "param", "shape", "values")
+# the most weight values Model.save encodes in one piece
+SAVE_CHUNK = 4096
 
 INPUT_CHANNELS = 4
 CONV_KERNEL = 3
@@ -238,13 +242,33 @@ class Model:
         return {"spec": self.spec.to_json_dict(), "params": entries}
 
     def save(self, path) -> None:
+        """Write ``json.dumps(self.to_doc())`` to ``path``, encoding at most
+        ``SAVE_CHUNK`` values at a time, so that neither the text nor the
+        Python floats of a large weight array are ever all in memory."""
         with open(path, "w") as fh:
-            fh.write(json.dumps(self.to_doc()))
+            fh.write(f'{{"spec": {json.dumps(self.spec.to_json_dict())},'
+                     f' "params": [')
+            for i, (lid, lyr, pname) in enumerate(self._param_table):
+                arr = getattr(lyr, pname)
+                flat = arr.reshape(-1)
+                head = json.dumps({"layer": lid, "param": pname,
+                                   "shape": list(arr.shape)})
+                fh.write(f'{", " if i else ""}{head[:-1]}, "values": [')
+                for start in range(0, flat.size, SAVE_CHUNK):
+                    chunk = flat[start:start + SAVE_CHUNK].tolist()
+                    fh.write((", " if start else "")
+                             + json.dumps(chunk)[1:-1])
+                fh.write("]}")
+            fh.write("]}")
 
     def load_params(self, doc: dict) -> None:
         """Copy a ``to_doc`` document into the model's arrays; raises
-        ``ValueError`` naming any entry missing, misshaped or unmatched."""
-        by_key = {(e["layer"], e["param"]): e for e in doc["params"]}
+        ``ValueError`` naming any entry missing, incomplete, misshaped or
+        unmatched."""
+        by_key = {}
+        for i, entry in enumerate(doc["params"]):
+            require_keys(entry, PARAM_ENTRY_FIELDS, f"params[{i}]")
+            by_key[(entry["layer"], entry["param"])] = entry
         for lid, lyr, pname in self._param_table:
             arr = getattr(lyr, pname)
             entry = by_key.pop((lid, pname), None)

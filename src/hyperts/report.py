@@ -23,11 +23,19 @@ def _label_order(labels) -> list[str]:
     return known + extra
 
 
+def _int_field(doc: dict, key: str, path) -> int:
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{path}: {key} {value!r} is not an integer")
+    return value
+
+
 def build_report(results_dir) -> dict:
     """Window x span grid of each label's best, read from every completed
     cell (``cell.json`` plus ``best.json``) under ``results_dir``; raises
-    ``ValueError`` if there is none, two share a label, window and span, or
-    either document lacks a field the report reads."""
+    ``ValueError`` if there is none, two share a label, window and span,
+    either document lacks a field the report reads, or a cell's window or
+    span is not an integer."""
     grid: dict[tuple[int, int], dict] = {}
     dirs: dict[tuple[str, int, int], pathlib.Path] = {}
     for cell_path in sorted(pathlib.Path(results_dir).glob("**/" + CELL_FILE)):
@@ -37,7 +45,8 @@ def build_report(results_dir) -> dict:
         cell = read_json(cell_path, ("label", "window", "span"))
         best = read_json(best_path, BEST_FIELDS)
         label = cell["label"]
-        window, span = int(cell["window"]), int(cell["span"])
+        window, span = (_int_field(cell, key, cell_path)
+                        for key in ("window", "span"))
         other = dirs.setdefault((label, window, span), cell_path.parent)
         if other != cell_path.parent:
             raise ValueError(f"{other} and {cell_path.parent} are both {label}"

@@ -7,7 +7,9 @@ interrupted search resumes without recomputation and a rerun under other
 settings is refused; the final ``results.ndjson`` keeps only
 ``CANONICAL_FIELDS`` (no timing, no stamp) in canonical spec order, so
 repeated runs with the same seed are byte-identical regardless of worker
-count or completion order.
+count or completion order. The winner's artifacts are hashed into
+``best.stamp`` under the same run stamp, so a rerun of a finished search
+reuses them instead of retraining the winner.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ RESULTS_FILE = "results.ndjson"
 BEST_FILE = "best.json"
 BEST_MODEL_FILE = "best_model.json"
 BEST_HISTORY_FILE = "history_best.csv"
+BEST_STAMP_FILE = "best.stamp"
+# the winner's artifacts, whose digests BEST_STAMP_FILE records
+WINNER_FILES = (BEST_FILE, BEST_MODEL_FILE, BEST_HISTORY_FILE)
 
 CNN_SIZES = [8, 16, 32, 64, 128]
 LSTM_SIZES = [8, 16, 32, 64, 128]
@@ -189,6 +194,28 @@ class SearchResult:
     holdout_mae: float
 
 
+def _winner_digests(out: pathlib.Path) -> dict[str, str]:
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in WINNER_FILES}
+
+
+def _cached_winner(out: pathlib.Path, run: str,
+                   best: dict) -> SearchResult | None:
+    """The result recorded under ``out`` if ``BEST_STAMP_FILE`` names
+    ``run``, every winner file still hashes to its recorded digest and
+    ``best.json`` holds ``best``; None otherwise, never an error."""
+    try:
+        stamp = json.loads((out / BEST_STAMP_FILE).read_bytes())
+        if stamp["run"] != run or stamp["files"] != _winner_digests(out):
+            return None
+        doc = json.loads((out / BEST_FILE).read_bytes())
+        if {k: doc[k] for k in CANONICAL_FIELDS} != best:
+            return None
+        return SearchResult(best=best, holdout_mae=doc["holdout_mae"])
+    except (OSError, ValueError, LookupError, TypeError):
+        return None
+
+
 def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
                plan: SplitPlan, out_dir,
                config: TrainConfig = TrainConfig(), base_seed: int = 0,
@@ -205,7 +232,11 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
     ``_run_stamp``), or not stamped, raises ``ValueError`` naming the
     ledger before any file is written. After scoring, the
     best spec is retrained on the full CV block and scored on the holdout
-    block; its weights are saved alongside the ledgers.
+    block; its weights are saved alongside the ledgers, and
+    ``BEST_STAMP_FILE``, written last, records the run stamp and a digest
+    of each of ``WINNER_FILES``. A rerun whose winner is already recorded
+    under this run's stamp, with all three files unchanged, reuses them
+    and fits nothing; any other state retrains and rewrites them.
     """
     workers = 1 if workers is None else workers
     if workers < 1:
@@ -259,6 +290,9 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     best = _best_of(canonical)
+    cached = _cached_winner(out, run, best)
+    if cached is not None:
+        return cached
     spec = ModelSpec.from_json_dict(best["spec"])
     model, history = _fit_fold(spec, dataset, plan.cv_indices, config,
                                base_seed, len(plan.folds))
@@ -269,4 +303,6 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
                       header_lines=[f"spec: {spec.canonical()}"])
 
     write_json(out / BEST_FILE, dict(best, holdout_mae=holdout_mae))
+    write_json(out / BEST_STAMP_FILE,
+               {"run": run, "files": _winner_digests(out)})
     return SearchResult(best=best, holdout_mae=holdout_mae)

@@ -43,7 +43,8 @@ def expected_paths():
     paths |= {f"data/correlations/lag_{a}_{b}.csv"
               for a, b in itertools.combinations_with_replacement(
                   ("T0", "T1", "T2", "T3"), 2)}
-    cells = ["h", "cnn", "lstm", "h_algebras", "h_resumed", "h_workers"] + [
+    cells = ["h", "cnn", "lstm", "h_algebras", "h_resumed", "h_workers",
+             "h_rerun"] + [
         f"grid/{label}_w{w}_s{s}" for label in ("CNN", "LSTM", "H", "HR")
         for w in (10, 20) for s in (1, 5)]
     paths |= {f"{cell}/{name}" for cell in cells for name in CELL_FILES}
@@ -63,11 +64,14 @@ def test_one_digest_per_artifact(digest_run):
 
     by_path = {p: d for d, p in (line.split("  ", 1) for line in lines)}
     for name in CELL_FILES:
-        assert by_path[f"h_resumed/{name}"] == by_path[f"h/{name}"], name
-        assert by_path[f"h_workers/{name}"] == by_path[f"h/{name}"], name
-    # the resumed run scored only the three configs its ledger lacked
-    ledger = (out / "h_resumed" / "progress.ndjson").read_text()
-    assert len(ledger.splitlines()) == 6
+        for cell in ("h_resumed", "h_workers", "h_rerun"):
+            assert by_path[f"{cell}/{name}"] == by_path[f"h/{name}"], name
+    # the resumed run scored only the three configs its ledger lacked, and
+    # the rerun none
+    for cell in ("h_resumed", "h_rerun"):
+        ledger = (out / cell / "progress.ndjson").read_text()
+        assert len(ledger.splitlines()) == 6, cell
+    assert (out / "h_rerun" / "best.stamp").exists()
     specs = [json.loads(line)["spec"] for line in
              (out / "h_algebras" / "results.ndjson").read_text().splitlines()]
     assert len(specs) == 21

@@ -388,6 +388,24 @@ class TestReport:
         err = capsys.readouterr().err
         assert f"error: {d / 'cell.json'}: no {key} in the document" in err
 
+    @pytest.mark.parametrize("value", ["ten", 10.5])
+    @pytest.mark.parametrize("key", ["window", "span"])
+    def test_cell_field_that_is_not_an_integer_names_it(self, key, value,
+                                                        tmp_path, capsys):
+        d = tmp_path / "results" / "H_w10_s1"
+        d.mkdir(parents=True)
+        (d / "cell.json").write_text(json.dumps(
+            dict({"label": "H", "window": 10, "span": 1}, **{key: value})))
+        (d / "best.json").write_text(json.dumps(
+            {"spec": {"test_layer": "x:1"}, "mean_mae": 0.1,
+             "holdout_mae": 0.2, "param_count": 100}))
+        out = tmp_path / "grid.csv"
+        assert run(["report", "--in", tmp_path / "results", "--out",
+                    out]) == 1
+        assert not out.exists()
+        assert (f"error: {d / 'cell.json'}: {key} {value!r} is not an"
+                f" integer" in capsys.readouterr().err)
+
     def test_unparseable_best_document_names_it(self, tmp_path, capsys):
         d = tmp_path / "results" / "H_w10_s1"
         d.mkdir(parents=True)

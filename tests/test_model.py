@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import hyperts.model as model_mod
 from conftest import check_model_gradients
 from hyperts.model import (SPEC_FIELDS, Model, ModelSpec, build, load_model,
                            min_window)
@@ -187,6 +188,15 @@ class TestSerialization:
         for entry in doc["params"]:
             assert len(entry["values"]) == int(np.prod(entry["shape"]))
 
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_save_writes_the_doc_as_one_json_text(self, chunk, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setattr(model_mod, "SAVE_CHUNK", chunk)
+        model = build(spec_for("cnn", 3, n_dense1=1, n_dense2=1, seed=5))
+        model.save(tmp_path / "weights.json")
+        assert (tmp_path / "weights.json").read_text() == \
+            json.dumps(model.to_doc())
+
     @staticmethod
     def saved_doc(tmp_path, doc):
         path = tmp_path / "weights.json"
@@ -214,6 +224,21 @@ class TestSerialization:
         doc["params"].pop()
         with pytest.raises(ValueError,
                            match=r"04_dense\.b: no entry in the document"):
+            load_model(self.saved_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("key", ["layer", "param", "shape", "values"])
+    def test_load_rejects_entry_without_a_field(self, key, tmp_path):
+        doc = build(spec_for("hyper", 2, "quaternion")).to_doc()
+        del doc["params"][1][key]
+        with pytest.raises(ValueError,
+                           match=rf"^params\[1\]: no {key} in the document$"):
+            load_model(self.saved_doc(tmp_path, doc))
+
+    def test_load_rejects_empty_entry(self, tmp_path):
+        doc = build(spec_for("hyper", 2, "quaternion")).to_doc()
+        doc["params"][0] = {}
+        with pytest.raises(ValueError, match=r"^params\[0\]: no layer or"
+                                             r" param or shape or values"):
             load_model(self.saved_doc(tmp_path, doc))
 
     def test_load_rejects_unmatched_entry(self, tmp_path):

@@ -259,6 +259,7 @@ class TestRunSearch:
             run_search([hyper_spec(), hyper_spec(size=2)],
                        out_dir=tmp_path, **args)
         assert str(tmp_path / "progress.ndjson") in str(info.value)
+        assert "best.stamp" in before
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_unstamped_ledger_raises(self, tmp_path):
@@ -342,3 +343,106 @@ class TestRunSearch:
                     "param_count": 100}]
         with pytest.raises(ValueError, match="finite"):
             search_mod._best_of(records)
+
+
+def dir_bytes(out, skip=()):
+    return {p.name: p.read_bytes() for p in out.iterdir()
+            if p.name not in skip}
+
+
+def canonical_bytes(out):
+    """Every file but the ledger, whose records hold each config's seconds."""
+    return dir_bytes(out, skip={"progress.ndjson"})
+
+
+def count_fits(monkeypatch):
+    """Count calls of ``search._fit_fold`` from here on."""
+    calls = []
+    real = search_mod._fit_fold
+
+    def counted(*args, **kw):
+        calls.append(args[0])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(search_mod, "_fit_fold", counted)
+    return calls
+
+
+class TestWinnerCache:
+    SPECS = [hyper_spec(size=s) for s in (1, 2)]
+
+    def search(self, out, specs=None):
+        ds, plan = small_dataset()
+        return run_search(specs or self.SPECS, ds, plan, out, config=FAST,
+                          base_seed=2)
+
+    def test_rerun_fits_nothing_and_changes_no_file(self, tmp_path,
+                                                    monkeypatch):
+        first = self.search(tmp_path)
+        before = dir_bytes(tmp_path)
+        assert set(before) == {"progress.ndjson", "results.ndjson",
+                               "best.json", "best_model.json",
+                               "history_best.csv", "best.stamp"}
+        calls = count_fits(monkeypatch)
+        again = self.search(tmp_path)
+        assert calls == []
+        assert again == first
+        assert dir_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("name", ["best.json", "best_model.json",
+                                      "history_best.csv", "best.stamp"])
+    @pytest.mark.parametrize("damage", ["truncated", "deleted", "edited"])
+    def test_damaged_file_retrains_once_and_restores_every_file(
+            self, name, damage, tmp_path, monkeypatch):
+        fresh = tmp_path / "fresh"
+        self.search(fresh)
+        out = tmp_path / "damaged"
+        self.search(out)
+        path = out / name
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-7])
+        elif damage == "deleted":
+            path.unlink()
+        else:  # bump the last digit
+            text = path.read_text()
+            i = max(text.rfind(d) for d in "0123456789")
+            path.write_text(text[:i] + str((int(text[i]) + 1) % 10)
+                            + text[i + 1:])
+        ledger = (out / "progress.ndjson").read_bytes()
+        assert canonical_bytes(out) != canonical_bytes(fresh)
+        calls = count_fits(monkeypatch)
+        self.search(out)
+        assert len(calls) == 1
+        assert canonical_bytes(out) == canonical_bytes(fresh)
+        assert (out / "progress.ndjson").read_bytes() == ledger
+
+    def test_stamp_of_another_run_retrains(self, tmp_path, monkeypatch):
+        self.search(tmp_path)
+        before = dir_bytes(tmp_path)
+        stamp = json.loads(before["best.stamp"])
+        (tmp_path / "best.stamp").write_text(
+            json.dumps(dict(stamp, run="0" * 16)))
+        calls = count_fits(monkeypatch)
+        self.search(tmp_path)
+        assert len(calls) == 1
+        assert dir_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("first", ["loser", "winner"])
+    def test_growing_specs_retrains_only_a_new_winner(self, first, tmp_path,
+                                                      monkeypatch):
+        ds, plan = small_dataset()
+        scores = {spec.canonical(): cross_validate(spec, ds, plan, FAST,
+                                                   base_seed=2)[0]
+                  for spec in self.SPECS}
+        loser, winner = sorted(self.SPECS,
+                               key=lambda s: -scores[s.canonical()])
+        old, new = (loser, winner) if first == "loser" else (winner, loser)
+        self.search(tmp_path / "grown", [old])
+        self.search(tmp_path / "fresh", [old, new])
+        calls = count_fits(monkeypatch)
+        result = self.search(tmp_path / "grown", [old, new])
+        assert result.best["spec"] == winner.to_json_dict()
+        # ten folds for the new config, then a retrain only if it won
+        assert calls == [new] * (11 if new == winner else 10)
+        assert canonical_bytes(tmp_path / "grown") == \
+            canonical_bytes(tmp_path / "fresh")

@@ -10,12 +10,15 @@ single-cell searches, one ``search --all`` grid of 16 cells and its report,
 all into ``OUT_DIR``. The single cells are an H, a CNN and an LSTM cell; an
 H cell of all three algebras with and without the per-step Dense;
 ``h_resumed``, the H cell again, stopped after three configs and then
-resumed from its ledger; and ``h_workers``, the H cell scored by two worker
-processes. The files of ``h_resumed`` and ``h_workers`` must equal those of
-``h``. It prints one ``sha256  relative/path`` line per file written,
-sorted by path, except ``progress.ndjson`` (the resume ledger, whose
-records also hold each config's seconds and the run's stamp, so it is not a
-canonical artifact). The CLI's own messages go to standard error.
+resumed from its ledger; ``h_workers``, the H cell scored by two worker
+processes; and ``h_rerun``, the H cell searched twice, the second run
+reusing the first one's winner. The files of ``h_resumed``, ``h_workers``
+and ``h_rerun`` must equal those of ``h``. It prints one
+``sha256  relative/path`` line per file written, sorted by path, except the
+two files that are not canonical artifacts: ``progress.ndjson`` (the resume
+ledger, whose records also hold each config's seconds and the run's stamp)
+and ``best.stamp`` (the cache key of the winner's files, not a result).
+The CLI's own messages go to standard error.
 
 Two builds of the package produce the same artifacts exactly when the
 printed digests are equal. Since ingest records the fixture's paths, run
@@ -68,7 +71,11 @@ SINGLE_CELLS = (
     ("h_resumed", "h", ["--max-configs", "3"]),
     ("h_resumed", "h", ["--max-configs", "6"]),
     ("h_workers", "h", ["--max-configs", "6", "--workers", "2"]),
+    ("h_rerun", "h", ["--max-configs", "6"]),
+    ("h_rerun", "h", ["--max-configs", "6"]),
 )
+# files under a cell that are no canonical artifact (see the docstring)
+NOT_CANONICAL = ("progress.ndjson", "best.stamp")
 GRID = ["--windows", "10,20", "--spans", "1,5", "--sizes", "8",
         "--dense-units", "32", "--max-configs", "2", "--epochs", "1"]
 REL_TOL = 1e-9
@@ -133,9 +140,9 @@ def run_all(out: pathlib.Path) -> None:
 
 def canonical_files(out: pathlib.Path) -> list[str]:
     """Relative paths of every file under ``out`` except the resume
-    ledgers, sorted."""
+    ledgers and winner stamps, sorted."""
     return sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
-                  if p.is_file() and p.name != "progress.ndjson")
+                  if p.is_file() and p.name not in NOT_CANONICAL)
 
 
 def digests(out: pathlib.Path) -> list[str]:
