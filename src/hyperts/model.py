@@ -18,6 +18,7 @@ import numpy as np
 from .algebra import AlgebraKind
 from .nn import (Activation, Conv1D, Dense, Dropout, Flatten, HyperDense,
                  Layer, LSTM, MaxPool1D, ShapeError)
+from .nn import stack as nn_stack
 
 CLASS_KINDS = ("cnn", "lstm", "hyper")
 # a spec's JSON fields, in the order ModelSpec.to_json_dict writes them
@@ -65,12 +66,26 @@ def read_json(path, keys) -> dict:
     return doc
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` unless the file already holds exactly
+    these bytes, so that a rerun which changes nothing leaves the file, and
+    its modification time, as they were."""
+    data = text.encode()
+    try:
+        with open(path, "rb") as fh:
+            if fh.read() == data:
+                return
+    except FileNotFoundError:
+        pass
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
 def write_json(path, doc) -> None:
-    """Write ``doc`` to ``path`` as key-sorted JSON indented by 2, with a
-    trailing newline: the format of every JSON file a person reads."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    """Write ``doc`` to ``path`` (through ``write_text``) as key-sorted JSON
+    indented by 2, with a trailing newline: the format of every JSON file a
+    person reads."""
+    write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def write_csv(path, comments, rows) -> None:
@@ -177,6 +192,14 @@ class Model:
     layers write into them in place and never rebind them. ``params()`` and
     ``grads()`` return the two vectors, so an optimizer updates every
     parameter with one set of vector operations.
+
+    ``Model.stack(models)`` trains several same-spec models as one: its
+    layers are ``nn.stack``-ed, its inputs, outputs and gradients carry a
+    leading member axis (``[members, batch, window, 4]`` in), and its two
+    vectors are ``[members, param_count]`` with one row per member. Each
+    member model's arrays become views of its row, so after training the
+    stack every member is an ordinary trained model to score, save or
+    predict with.
     """
 
     def __init__(self, spec: ModelSpec, layers: list[Layer]):
@@ -185,20 +208,40 @@ class Model:
         self._param_table = [(f"{i:02d}_{lyr.name}", lyr, pname)
                              for i, lyr in enumerate(layers)
                              for pname in lyr.param_names()]
-        self._params = np.concatenate(
-            [getattr(lyr, pname).reshape(-1)
-             for _, lyr, pname in self._param_table])
-        self._grads = np.zeros_like(self._params)
+        params = np.concatenate(
+            [getattr(lyr, pname).reshape(layers[0]._lead() + (-1,))
+             for _, lyr, pname in self._param_table], axis=-1)
+        self._bind(params, np.zeros_like(params))
+
+    @classmethod
+    def stack(cls, models: list["Model"]) -> "Model":
+        """One model whose member ``i`` is ``models[i]`` (all of one spec
+        but for the seed); every member's arrays become views of its row of
+        the stack's vectors."""
+        stacked = cls(models[0].spec,
+                      [nn_stack(list(layers))
+                       for layers in zip(*(m.layers for m in models))])
+        for row, model in enumerate(models):
+            model._bind(stacked._params[row], stacked._grads[row])
+        return stacked
+
+    def _bind(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Make ``params`` and ``grads`` the model's vectors (their last
+        axis runs over the table) and rebind every named array, and its
+        gradient, to a view of its slice; ``params`` must hold the arrays'
+        values already."""
+        self._params, self._grads = params, grads
         start = 0
         for _, lyr, pname in self._param_table:
             shape = getattr(lyr, pname).shape
-            stop = start + math.prod(shape)
-            setattr(lyr, pname, self._params[start:stop].reshape(shape))
-            setattr(lyr, "d" + pname, self._grads[start:stop].reshape(shape))
+            stop = start + math.prod(shape[params.ndim - 1:])
+            setattr(lyr, pname, params[..., start:stop].reshape(shape))
+            setattr(lyr, "d" + pname, grads[..., start:stop].reshape(shape))
             start = stop
 
     def param_count(self) -> int:
-        return self._params.size
+        """Trainable reals of one member (of the model, if not stacked)."""
+        return self._params.shape[-1]
 
     def params(self) -> list[np.ndarray]:
         """The parameter vector; ``fit`` calls this once, so it raises
@@ -215,10 +258,14 @@ class Model:
         return [self._grads]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        lead = self.layers[0]._lead()
         expect = (self.spec.window, INPUT_CHANNELS)
-        if np.ndim(x) != 3 or np.shape(x)[1:] != expect:
-            raise ShapeError(f"model expects input [batch, {expect[0]},"
-                             f" {expect[1]}], got {np.shape(x)}")
+        shape = np.shape(x)
+        if (len(shape) != len(lead) + 3 or shape[:len(lead)] != lead
+                or shape[-2:] != expect):
+            member = f"members={lead[0]}, " if lead else ""
+            raise ShapeError(f"model expects input [{member}batch,"
+                             f" {expect[0]}, {expect[1]}], got {shape}")
         for lyr in self.layers:
             x = lyr.forward(x, training=training)
         return x

@@ -10,6 +10,14 @@ of attribute ``<name>`` lives at ``d<name>`` (same shape) and is filled by
 views into the model's parameter and gradient vectors, so ``backward()``
 writes gradients in place and nothing may rebind them.
 
+``stack(layers)`` makes one layer of several same-shaped ones: it has
+``members`` and a leading member axis on its arrays, its inputs and its
+outputs (so [members, batch, time, features] for a sequence layer), and
+each member computes exactly what its own layer would. The one forward
+and backward of each class serve both: they index time and features from
+the end, take products per member with ``@``, and never reduce over the
+member axis, so a member's bits do not depend on the others.
+
 Backward passes are written as 2-D matrix products over the flattened
 batch-and-time rows, so BLAS does the reductions. Each pass is
 deterministic: the same inputs give the same bits on every call.
@@ -17,6 +25,7 @@ deterministic: the same inputs give the same bits on every call.
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 
@@ -80,11 +89,15 @@ class Layer:
 
     ``backward`` reads what ``forward`` cached through ``_cached()`` and
     checks its upstream gradient's shape through ``_upstream()``.
+
+    ``members`` is None for a plain layer and the length of the leading
+    member axis for one made by ``stack``; ``_lead()`` is that axis's shape.
     """
 
     name = "layer"
     _param_names: tuple[str, ...] = ()
     _cache = None
+    members: int | None = None
 
     def _zero_grads(self) -> None:
         for pname in self._param_names:
@@ -108,6 +121,10 @@ class Layer:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _lead(self) -> tuple[int, ...]:
+        """``()``, or ``(members,)`` for a stacked layer."""
+        return () if self.members is None else (self.members,)
+
     def _cached(self):
         """The cache of the last ``forward``."""
         if self._cache is None:
@@ -123,16 +140,28 @@ class Layer:
         return g
 
 
-def _as_batch(x: np.ndarray, layer: str,
+def _as_batch(x: np.ndarray, layer: Layer,
               features: int | None = None) -> np.ndarray:
-    """Return ``x`` as float64, requiring [batch, time, features], with
-    ``features`` on the last axis when it is given."""
+    """Return ``x`` as float64, requiring [batch, time, features] after the
+    layer's member axis, with ``features`` on the last axis when it is
+    given."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or (features is not None and x.shape[2] != features):
+    lead = layer._lead()
+    if (x.ndim != len(lead) + 3 or x.shape[:len(lead)] != lead
+            or (features is not None and x.shape[-1] != features)):
         want = "features" if features is None else f"features={features}"
-        raise ShapeError(f"{layer}: expected [batch, time, {want}] input,"
-                         f" got shape {x.shape}")
+        member = f"members={lead[0]}, " if lead else ""
+        raise ShapeError(f"{layer.name}: expected [{member}batch, time,"
+                         f" {want}] input, got shape {x.shape}")
     return x
+
+
+def _lift(arr: np.ndarray, lead: int, ndim: int) -> np.ndarray:
+    """``arr`` with singleton axes after its first ``lead`` (member) axes,
+    so that its other axes line up with the last axes of an ``ndim``-axis
+    array and each member broadcasts over only its own rows."""
+    extra = (1,) * (ndim - arr.ndim)
+    return arr.reshape(arr.shape[:lead] + extra + arr.shape[lead:])
 
 
 class HyperDense(Layer):
@@ -173,33 +202,42 @@ class HyperDense(Layer):
         self._zero_grads()
 
     def _block_matrix(self) -> np.ndarray:
-        """Real [4*units, 4*in_h] matrix whose (u,s) 4x4 block is the
-        left-multiplication matrix of w[u, s]."""
-        m = left_mul_matrix(self.w, self.table)  # [u, s, d, q]
-        return m.transpose(0, 2, 1, 3).reshape(4 * self.units, 4 * self.in_h)
+        """Real [4*units, 4*in_h] matrix (one per member) whose (u,s) 4x4
+        block is the left-multiplication matrix of w[u, s]."""
+        m = left_mul_matrix(self.w, self.table)  # [..., u, s, d, q]
+        return m.swapaxes(-3, -2).reshape(
+            self._lead() + (4 * self.units, 4 * self.in_h))
 
     def forward(self, x, training=False):
-        xb = _as_batch(x, self.name, 4 * self.in_h)
-        bsz, t, width = xb.shape
-        flat = xb.reshape(bsz * t, width)
+        xb = _as_batch(x, self, 4 * self.in_h)
+        lead = self._lead()
+        bsz, t, width = xb.shape[-3:]
+        flat = xb.reshape(lead + (bsz * t, width))
         m = self._block_matrix()
-        z = flat @ m.T + self.b.reshape(-1)
+        z = flat @ m.swapaxes(-1, -2) + self.b.reshape(lead + (1, -1))
         y = _apply_act(z, self.activation)
         self._cache = (flat, z, m, bsz, t)
-        return y.reshape(bsz, t, 4 * self.units)
+        return y.reshape(lead + (bsz, t, 4 * self.units))
 
     def backward(self, grad_out):
         flat, z, m, bsz, t = self._cached()
-        g = self._upstream(grad_out, (bsz, t, 4 * self.units))
-        dz = _act_backward(g.reshape(bsz * t, 4 * self.units), z,
-                           self.activation)
-        self.db[...] = dz.sum(axis=0).reshape(self.units, 4)
+        lead = self._lead()
+        g = self._upstream(grad_out, lead + (bsz, t, 4 * self.units))
+        dz = _act_backward(g.reshape(z.shape), z, self.activation)
+        self.db[...] = dz.sum(axis=-2).reshape(self.db.shape)
         # dw[u,s,p] = sum_n dz[n,u,d] x[n,s,q] c[p,q,d]: one GEMM over the
         # rows gives gux[u,d,s,q] = sum_n dz[n,u,d] x[n,s,q], then the
-        # structure constants contract the 4x4 blocks
-        gux = (dz.T @ flat).reshape(self.units, 4, self.in_h, 4)
-        self.dw[...] = np.einsum("udsq,pqd->usp", gux, self.table)
-        return (dz @ m).reshape(bsz, t, 4 * self.in_h)
+        # structure constants contract the 4x4 blocks. Members fold into
+        # the unit axis; einsum sums in another order when that axis has
+        # length 1, so for one unit they fold into the slot axis instead
+        # (a contiguous copy): either way each member gets its own bits.
+        gux = (dz.swapaxes(-1, -2) @ flat).reshape(-1, 4, self.in_h, 4)
+        if self.units == 1:
+            gux = np.ascontiguousarray(np.moveaxis(gux, 0, 1)).reshape(
+                1, 4, -1, 4)
+        self.dw[...] = np.einsum("udsq,pqd->usp", gux,
+                                 self.table).reshape(self.dw.shape)
+        return (dz @ m).reshape(lead + (bsz, t, 4 * self.in_h))
 
 
 class Dense(Layer):
@@ -230,7 +268,8 @@ class Dense(Layer):
             raise ShapeError(
                 f"{self.name}: last input dim {x.shape[-1]} != in_features ="
                 f" {self.in_features} (input shape {x.shape})")
-        z = x @ self.w + self.b
+        lead = len(self._lead())
+        z = x @ _lift(self.w, lead, x.ndim) + _lift(self.b, lead, x.ndim)
         self._cache = (x, z)
         return _apply_act(z, self.activation)
 
@@ -238,11 +277,12 @@ class Dense(Layer):
         x, z = self._cached()
         g = self._upstream(grad_out, z.shape)
         dz = _act_backward(g, z, self.activation)
-        xf = x.reshape(-1, self.in_features)
-        dzf = dz.reshape(-1, self.units)
-        self.dw[...] = xf.T @ dzf
-        self.db[...] = dzf.sum(axis=0)
-        return (dzf @ self.w.T).reshape(x.shape)
+        lead = self._lead()
+        xf = x.reshape(lead + (-1, self.in_features))
+        dzf = dz.reshape(lead + (-1, self.units))
+        self.dw[...] = xf.swapaxes(-1, -2) @ dzf
+        self.db[...] = dzf.sum(axis=-2)
+        return (dzf @ self.w.swapaxes(-1, -2)).reshape(x.shape)
 
 
 class Conv1D(Layer):
@@ -276,15 +316,23 @@ class Conv1D(Layer):
         self._zero_grads()
 
     def forward(self, x, training=False):
-        xb = _as_batch(x, self.name, self.channels)
-        bsz, t, _ = xb.shape
+        xb = _as_batch(x, self, self.channels)
+        lead = self._lead()
+        bsz, t, _ = xb.shape[-3:]
         if t < self.kernel_size:
             raise ShapeError(
                 f"{self.name}: time length {t} < kernel_size {self.kernel_size}")
-        # windows[b, t_out, c, k]
+        t_out = t - self.kernel_size + 1
+        # cols[..., (k, c), (b, t_out)] = x[..., b, t_out + k, c]: one
+        # product of the kernel rows [f, (k, c)] with these columns
         win = np.lib.stride_tricks.sliding_window_view(
-            xb, self.kernel_size, axis=1)
-        z = np.einsum("btck,fkc->btf", win, self.w, optimize=True) + self.b
+            xb, self.kernel_size, axis=-2)  # [..., b, t_out, c, k]
+        cols = np.moveaxis(win, (-1, -2), (-4, -3)).reshape(
+            lead + (self.kernel_size * self.channels, bsz * t_out))
+        kernel = self.w.reshape(lead + (self.filters, -1))
+        z = np.moveaxis((kernel @ cols).reshape(
+            lead + (self.filters, bsz, t_out)), -3, -1) \
+            + _lift(self.b, len(lead), xb.ndim)
         y = _apply_act(z, self.activation)
         self._cache = (xb, z)
         return y
@@ -293,17 +341,19 @@ class Conv1D(Layer):
         xb, z = self._cached()
         g = self._upstream(grad_out, z.shape)
         dz = _act_backward(g, z, self.activation)
-        bsz, t_out, _ = z.shape
-        dzf = dz.reshape(bsz * t_out, self.filters)
-        self.db[...] = dz.sum(axis=(0, 1))
+        lead = self._lead()
+        bsz, t_out, _ = z.shape[-3:]
+        dzf = dz.reshape(lead + (bsz * t_out, self.filters))
+        self.db[...] = dz.sum(axis=(-3, -2))
         # tap k sees the input rows x[:, k:k+t_out, :]: it gets the weight
         # gradient dz^T x_k and adds dz w[:, k, :] back onto those rows
         dx = np.zeros_like(xb)
         for k in range(self.kernel_size):
-            xk = xb[:, k:k + t_out, :].reshape(bsz * t_out, self.channels)
-            self.dw[:, k, :] = dzf.T @ xk
-            dx[:, k:k + t_out, :] += (dzf @ self.w[:, k, :]).reshape(
-                bsz, t_out, self.channels)
+            xk = xb[..., k:k + t_out, :].reshape(
+                lead + (bsz * t_out, self.channels))
+            self.dw[..., k, :] = dzf.swapaxes(-1, -2) @ xk
+            dx[..., k:k + t_out, :] += (dzf @ self.w[..., k, :]).reshape(
+                lead + (bsz, t_out, self.channels))
         return dx
 
 
@@ -331,58 +381,63 @@ class LSTM(Layer):
         return 1.0 / (1.0 + np.exp(-z))
 
     def forward(self, x, training=False):
-        xb = _as_batch(x, self.name, self.channels)
-        bsz, t, _ = xb.shape
+        xb = _as_batch(x, self, self.channels)
+        lead = self._lead()
+        bsz, t, _ = xb.shape[-3:]
         n = self.units
-        gates = np.empty((t, bsz, 4 * n))
-        tanh_c = np.empty((t, bsz, n))
+        b = _lift(self.b, len(lead), xb.ndim - 1)
+        gates = np.empty((t,) + lead + (bsz, 4 * n))
+        tanh_c = np.empty((t,) + lead + (bsz, n))
         # hs[s] and cells[s] are the states before step s (row 0 is the zero
         # start state), so step s reads row s and writes row s + 1.
-        hs = np.zeros((t + 1, bsz, n))
-        cells = np.zeros((t + 1, bsz, n))
+        hs = np.zeros((t + 1,) + lead + (bsz, n))
+        cells = np.zeros((t + 1,) + lead + (bsz, n))
         for step in range(t):
-            zg = xb[:, step, :] @ self.w + hs[step] @ self.u + self.b
+            zg = xb[..., step, :] @ self.w + hs[step] @ self.u + b
             gate = gates[step]
-            gi, gf, gg, go = (gate[:, :n], gate[:, n:2 * n],
-                              gate[:, 2 * n:3 * n], gate[:, 3 * n:])
-            gi[...] = self._sigmoid(zg[:, :n])
-            gf[...] = self._sigmoid(zg[:, n:2 * n])
-            gg[...] = np.tanh(zg[:, 2 * n:3 * n])
-            go[...] = self._sigmoid(zg[:, 3 * n:])
+            gi, gf, gg, go = (gate[..., :n], gate[..., n:2 * n],
+                              gate[..., 2 * n:3 * n], gate[..., 3 * n:])
+            gi[...] = self._sigmoid(zg[..., :n])
+            gf[...] = self._sigmoid(zg[..., n:2 * n])
+            gg[...] = np.tanh(zg[..., 2 * n:3 * n])
+            go[...] = self._sigmoid(zg[..., 3 * n:])
             cells[step + 1] = gf * cells[step] + gi * gg
             tanh_c[step] = np.tanh(cells[step + 1])
             hs[step + 1] = go * tanh_c[step]
         self._cache = (xb, gates, tanh_c, hs, cells)
-        return hs[1:].transpose(1, 0, 2)
+        return np.moveaxis(hs[1:], 0, -2)
 
     def backward(self, grad_out):
         xb, gates, tanh_c, hs, cells = self._cached()
-        bsz, t, _ = xb.shape
+        lead = self._lead()
+        bsz, t, _ = xb.shape[-3:]
         n = self.units
-        g = self._upstream(grad_out, (bsz, t, n))
+        g = self._upstream(grad_out, lead + (bsz, t, n))
         self.dw[...] = 0.0
         self.du[...] = 0.0
         self.db[...] = 0.0
+        w_t = self.w.swapaxes(-1, -2)
+        u_t = self.u.swapaxes(-1, -2)
         dx = np.empty_like(xb)
-        dh_next = np.zeros((bsz, n))
-        dc_next = np.zeros((bsz, n))
-        dzg = np.empty((bsz, 4 * n))
+        dh_next = np.zeros(lead + (bsz, n))
+        dc_next = np.zeros(lead + (bsz, n))
+        dzg = np.empty(lead + (bsz, 4 * n))
         for step in range(t - 1, -1, -1):
-            dh = g[:, step, :] + dh_next
+            dh = g[..., step, :] + dh_next
             gate = gates[step]
-            gi, gf, gg, go = (gate[:, :n], gate[:, n:2 * n],
-                              gate[:, 2 * n:3 * n], gate[:, 3 * n:])
+            gi, gf, gg, go = (gate[..., :n], gate[..., n:2 * n],
+                              gate[..., 2 * n:3 * n], gate[..., 3 * n:])
             tc = tanh_c[step]
             dc = dc_next + dh * go * (1.0 - tc * tc)
-            dzg[:, :n] = dc * gg * gi * (1.0 - gi)
-            dzg[:, n:2 * n] = dc * cells[step] * gf * (1.0 - gf)
-            dzg[:, 2 * n:3 * n] = dc * gi * (1.0 - gg * gg)
-            dzg[:, 3 * n:] = dh * tc * go * (1.0 - go)
-            self.dw += xb[:, step, :].T @ dzg
-            self.du += hs[step].T @ dzg
-            self.db += dzg.sum(axis=0)
-            dx[:, step, :] = dzg @ self.w.T
-            dh_next = dzg @ self.u.T
+            dzg[..., :n] = dc * gg * gi * (1.0 - gi)
+            dzg[..., n:2 * n] = dc * cells[step] * gf * (1.0 - gf)
+            dzg[..., 2 * n:3 * n] = dc * gi * (1.0 - gg * gg)
+            dzg[..., 3 * n:] = dh * tc * go * (1.0 - go)
+            self.dw += xb[..., step, :].swapaxes(-1, -2) @ dzg
+            self.du += hs[step].swapaxes(-1, -2) @ dzg
+            self.db += dzg.sum(axis=-2)
+            dx[..., step, :] = dzg @ w_t
+            dh_next = dzg @ u_t
             dc_next = dc * gf
         return dx
 
@@ -404,43 +459,45 @@ class MaxPool1D(Layer):
         self.pool_size = pool_size
 
     def forward(self, x, training=False):
-        xb = _as_batch(x, self.name)
-        bsz, t, f = xb.shape
+        xb = _as_batch(x, self)
+        t, f = xb.shape[-2:]
         p = self.pool_size
         if t < p:
             raise ShapeError(f"{self.name}: time length {t} < pool_size {p}")
         end = t // p * p
-        out = xb[:, 0:end:p, :]
+        out = xb[..., 0:end:p, :]
         # beats[j] is all ones where slice j beats every earlier slice: it
         # is larger, or NaN while the running maximum is not. Slice 0 beats
         # the empty set.
         beats = [-1]
         for j in range(1, p):
-            s = xb[:, j:end:p, :]
+            s = xb[..., j:end:p, :]
             beats.append(np.negative(~(s <= out) & (out == out),
                                      dtype=np.int64))
             out = _select_bits(beats[j], s, out)
-        self._cache = (beats, bsz, t, f)
+        self._cache = (beats, xb.shape)
         return out
 
     def backward(self, grad_out):
-        beats, bsz, t, f = self._cached()
+        beats, shape = self._cached()
         p = self.pool_size
+        t, f = shape[-2:]
         end = t // p * p
-        g = self._upstream(grad_out, (bsz, end // p, f))
-        dx = np.zeros((bsz, t, f))
+        g = self._upstream(grad_out, shape[:-2] + (end // p, f))
+        dx = np.zeros(shape)
         # Slice j won its window where it beats every earlier slice and no
         # later slice beats it; every other position keeps dx's +0.0.
         later = 0
         for j in range(p - 1, -1, -1):
             np.bitwise_and(g.view(np.int64), beats[j] & ~later,
-                           out=dx[:, j:end:p, :].view(np.int64))
+                           out=dx[..., j:end:p, :].view(np.int64))
             later = later | beats[j]
         return dx
 
 
 class Flatten(Layer):
-    """Reshape [batch, ...] -> [batch, prod(...)], keeping the batch axis."""
+    """Reshape [batch, ...] -> [batch, prod(...)], keeping the batch axis
+    (and the member axis of a stacked layer)."""
 
     def __init__(self):
         self.name = "flatten"
@@ -448,17 +505,22 @@ class Flatten(Layer):
     def forward(self, x, training=False):
         x = np.asarray(x, dtype=np.float64)
         self._cache = x.shape
-        return x.reshape(len(x), -1)
+        return x.reshape(x.shape[:len(self._lead()) + 1] + (-1,))
 
     def backward(self, grad_out):
         shape = self._cached()
-        g = self._upstream(grad_out, (shape[0], math.prod(shape[1:])))
+        keep = len(self._lead()) + 1
+        g = self._upstream(grad_out,
+                           shape[:keep] + (math.prod(shape[keep:]),))
         return g.reshape(shape)
 
 
 class Dropout(Layer):
     """Inverted dropout: zero each element with probability ``rate`` during
-    training, scale survivors by 1/(1-rate); identity at inference."""
+    training, scale survivors by 1/(1-rate); identity at inference.
+
+    A stacked Dropout holds one generator per member in ``rng`` and draws
+    each member's mask from its own, at that member's shape."""
 
     def __init__(self, rate: float = 0.5, *, rng: np.random.Generator):
         if not 0.0 <= rate < 1.0:
@@ -472,7 +534,11 @@ class Dropout(Layer):
         if not training or self.rate == 0.0:
             self._cache = (None, x.shape)
             return x
-        mask = (self.rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
+        if self.members is None:
+            draws = self.rng.random(x.shape)
+        else:
+            draws = np.stack([rng.random(x.shape[1:]) for rng in self.rng])
+        mask = (draws >= self.rate) / (1.0 - self.rate)
         self._cache = (mask, x.shape)
         return x * mask
 
@@ -480,3 +546,19 @@ class Dropout(Layer):
         mask, shape = self._cached()
         g = self._upstream(grad_out, shape)
         return g if mask is None else g * mask
+
+
+def stack(layers: list[Layer]) -> Layer:
+    """One layer over a leading member axis of ``len(layers)``, member ``i``
+    being ``layers[i]``: the layers must share class and settings. Each
+    trainable array is the members' arrays stacked (a copy), with zeroed
+    gradients; a Dropout draws from each member's own generator."""
+    out = copy.copy(layers[0])
+    out.members = len(layers)
+    out._cache = None
+    for pname in out._param_names:
+        setattr(out, pname, np.stack([getattr(lyr, pname) for lyr in layers]))
+    out._zero_grads()
+    if isinstance(out, Dropout):
+        out.rng = [lyr.rng for lyr in layers]
+    return out

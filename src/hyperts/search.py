@@ -27,7 +27,8 @@ import numpy as np
 
 from .algebra import AlgebraKind
 from .data import SplitPlan, WindowedDataset
-from .model import Model, ModelSpec, build, spec_key, write_json
+from .model import (Model, ModelSpec, build, spec_key, write_json,
+                    write_text)
 from .train import TrainConfig, evaluate, fit, write_history_csv
 
 CELL_FILE = "cell.json"
@@ -128,23 +129,50 @@ def _fit_fold(spec: ModelSpec, dataset: WindowedDataset,
     return model, history
 
 
+def _fit_folds(spec: ModelSpec, dataset: WindowedDataset,
+               train_idx: np.ndarray, config: TrainConfig, base_seed: int,
+               ks: list[int]) -> list[Model]:
+    """What ``_fit_fold`` gives for each fold of ``ks``, from one stacked
+    fit: row ``i`` of ``train_idx`` is fold ``ks[i]``'s training set, and
+    every member is built and shuffled from that fold's ``fold_seeds``.
+    Returns the trained member models."""
+    seeds = [fold_seeds(base_seed, spec, k) for k in ks]
+    members = [build(dataclasses.replace(spec, seed=model_seed))
+               for model_seed, _ in seeds]
+    fit(Model.stack(members), dataset.x[train_idx], dataset.y[train_idx],
+        dataclasses.replace(config, seed=tuple(seed for _, seed in seeds)))
+    return members
+
+
 def cross_validate(spec: ModelSpec, dataset: WindowedDataset, plan: SplitPlan,
                    config: TrainConfig = TrainConfig(),
-                   base_seed: int = 0) -> tuple[float, list[float]]:
+                   base_seed: int = 0) -> tuple[float, list[float], int]:
     """Mean MAE over k folds: train on cv minus fold, score MAE on the fold.
+    Returns the mean, the fold MAEs and the spec's parameter count.
 
     A fresh model is built per fold from a seed derived from
-    (base_seed, spec id, fold index).
+    (base_seed, spec id, fold index). Folds whose training sets are of one
+    size (``np.array_split`` folds give at most two sizes) train together
+    as one ``Model.stack``, so each step serves all of them; every member
+    shuffles, draws dropout and is scored on its own fold, and its MAE has
+    the bits of fitting that fold alone with ``_fit_fold``.
     """
     if any(len(f) < 1 for f in plan.folds):
         raise ValueError("cross_validate: every fold needs at least 1 sample")
-    maes = []
-    for k, fold in enumerate(plan.folds):
-        train_idx = np.setdiff1d(plan.cv_indices, fold)
-        model, _ = _fit_fold(spec, dataset, train_idx, config, base_seed, k)
-        maes.append(evaluate(model, dataset.x[fold], dataset.y[fold]))
-        del model  # free its weights and caches before the next fold's fit
-    return float(np.mean(maes)), maes
+    train = [np.setdiff1d(plan.cv_indices, fold) for fold in plan.folds]
+    groups: dict[int, list[int]] = {}
+    for k, idx in enumerate(train):
+        groups.setdefault(len(idx), []).append(k)
+    maes = [0.0] * len(plan.folds)
+    for ks in groups.values():
+        members = _fit_folds(spec, dataset, np.stack([train[k] for k in ks]),
+                             config, base_seed, ks)
+        for k, member in zip(ks, members):
+            fold = plan.folds[k]
+            maes[k] = evaluate(member, dataset.x[fold], dataset.y[fold])
+        param_count = members[0].param_count()
+        del members  # free this group's weights before the next group's fit
+    return float(np.mean(maes)), maes, param_count
 
 
 def _best_of(records: list[dict]) -> dict:
@@ -162,13 +190,14 @@ def _best_of(records: list[dict]) -> dict:
 def _eval_spec(spec: ModelSpec, dataset: WindowedDataset, plan: SplitPlan,
                config: TrainConfig, base_seed: int) -> dict:
     start = time.perf_counter()
-    mean_mae, maes = cross_validate(spec, dataset, plan, config, base_seed)
+    mean_mae, maes, param_count = cross_validate(spec, dataset, plan, config,
+                                                 base_seed)
     seconds = time.perf_counter() - start
     return {
         "spec": spec.to_json_dict(),
         "fold_maes": maes,
         "mean_mae": mean_mae,
-        "param_count": build(spec).param_count(),
+        "param_count": param_count,
         "seconds": seconds,
     }
 
@@ -285,9 +314,8 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
 
     canonical = [{k: done[key][k] for k in CANONICAL_FIELDS}
                  for key in sorted(wanted)]
-    with open(out / RESULTS_FILE, "w") as fh:
-        for record in canonical:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_text(out / RESULTS_FILE, "".join(
+        json.dumps(record, sort_keys=True) + "\n" for record in canonical))
 
     best = _best_of(canonical)
     cached = _cached_winner(out, run, best)

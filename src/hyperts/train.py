@@ -26,32 +26,35 @@ def _error(pred: np.ndarray, target: np.ndarray, name: str) -> np.ndarray:
 
 # Each metric is written once, over the error ``pred - target``; the public
 # functions and ``fit`` (which computes one error per step) both use these.
+# ``axis`` (None: all) and ``size`` say which elements one mean runs over,
+# so that ``fit`` takes one mean per member of a stacked model.
 
-def _mse_of(err: np.ndarray) -> float:
-    return float(np.mean(err ** 2))
-
-
-def _mse_grad_of(err: np.ndarray) -> np.ndarray:
-    return 2.0 * err / err.size
+def _mse_of(err: np.ndarray, axis=None) -> np.ndarray:
+    return np.mean(err ** 2, axis=axis)
 
 
-def _mae_of(err: np.ndarray) -> float:
-    return float(np.mean(np.abs(err)))
+def _mse_grad_of(err: np.ndarray, size: int) -> np.ndarray:
+    return 2.0 * err / size
+
+
+def _mae_of(err: np.ndarray, axis=None) -> np.ndarray:
+    return np.mean(np.abs(err), axis=axis)
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> float:
     """Mean squared error over all elements."""
-    return _mse_of(_error(pred, target, "mse"))
+    return float(_mse_of(_error(pred, target, "mse")))
 
 
 def mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """d(mse)/d(pred) = 2 (pred - target) / N."""
-    return _mse_grad_of(_error(pred, target, "mse"))
+    err = _error(pred, target, "mse")
+    return _mse_grad_of(err, err.size)
 
 
 def mae(pred: np.ndarray, target: np.ndarray) -> float:
     """Mean absolute error over all elements."""
-    return _mae_of(_error(pred, target, "mae"))
+    return float(_mae_of(_error(pred, target, "mae")))
 
 
 class Adam:
@@ -85,7 +88,7 @@ class Adam:
 class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
-    seed: int = 0
+    seed: int = 0  # a tuple, one per member, to fit a Model.stack
     lr: float = 1e-3
 
     def __post_init__(self):
@@ -98,37 +101,50 @@ class TrainConfig:
 
 
 def fit(model: Model, x: np.ndarray, y: np.ndarray,
-        config: TrainConfig = TrainConfig()) -> list[tuple[float, float]]:
+        config: TrainConfig = TrainConfig()) -> list:
     """Train with minibatch Adam on MSE; returns per-epoch (loss, mae).
 
     Shuffling is seeded from config.seed, so identical (model seed, config,
     data) runs produce bit-identical weights and histories. Parameters are
     updated in place.
+
+    A ``Model.stack`` of members takes a sequence of shuffle seeds, one per
+    member, as ``config.seed``, and ``x``/``y`` with a leading member axis:
+    member ``i`` trains on ``x[i]``/``y[i]``, shuffled by its own seed, so
+    all members share each step and every member's weights and history
+    (one list per member is returned) are the bits of fitting it alone.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = x.shape[0]
+    lead = np.ndim(config.seed)  # 1 for a stacked model's seed list
+    seeds = config.seed if lead else [config.seed]
+    n = x.shape[lead]
     if n == 0:
         raise ValueError("fit: empty training slice")
-    if y.shape[0] != n:
-        raise ShapeError(f"fit: {n} inputs but {y.shape[0]} targets")
-    rng = np.random.default_rng(config.seed)
+    if y.shape[lead] != n:
+        raise ShapeError(f"fit: {n} inputs but {y.shape[lead]} targets")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rows = np.arange(len(seeds))[:, None]
+    per = tuple(range(1, y.ndim)) if lead else None  # one member's errors
     opt = Adam(model.params(), lr=config.lr)
-    history = []
+    histories = [[] for _ in seeds]
     for _ in range(config.epochs):
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        mae_sum = 0.0
+        orders = np.stack([rng.permutation(n) for rng in rngs])
+        loss_sum = np.zeros(len(seeds))
+        mae_sum = np.zeros(len(seeds))
         for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, yb = x[idx], y[idx]
-            err = _error(model.forward(xb, training=True), yb, "mse")
-            loss_sum += _mse_of(err) * len(idx)
-            mae_sum += _mae_of(err) * len(idx)
-            model.backward(_mse_grad_of(err))
+            idx = orders[:, start:start + config.batch_size]
+            take = (rows, idx) if lead else idx[0]
+            err = _error(model.forward(x[take], training=True), y[take],
+                         "mse")
+            loss_sum += _mse_of(err, per) * idx.shape[1]
+            mae_sum += _mae_of(err, per) * idx.shape[1]
+            model.backward(_mse_grad_of(err, math.prod(err.shape[lead:])))
             opt.step(model.grads())
-        history.append((loss_sum / n, mae_sum / n))
-    return history
+        for history, loss, score in zip(histories, loss_sum / n,
+                                        mae_sum / n):
+            history.append((float(loss), float(score)))
+    return histories if lead else histories[0]
 
 
 def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> float:

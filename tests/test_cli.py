@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: artifacts, exit codes, idempotency."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -163,6 +164,20 @@ class TestSearch:
             (out2 / "best.json").read_bytes()
         assert (out1 / "results.ndjson").read_bytes() == \
             (out2 / "results.ndjson").read_bytes()
+
+    def test_rerun_leaves_the_cell_files_untouched(self, ingested,
+                                                   tmp_path):
+        out = tmp_path / "cell"
+        argv = ["search", "--class", "h", "--data", ingested, "--out", out]
+        assert run(argv + SMOKE) == 0
+        # an old stamp, so that a rewrite within the clock's tick shows too
+        names = ("results.ndjson", "cell.json")
+        for name in names:
+            os.utime(out / name, ns=(10 ** 9, 10 ** 9))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert run(argv + SMOKE) == 0
+        assert [(out / n).stat().st_mtime_ns for n in names] == [10 ** 9] * 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("flags", [
         ["--epochs", 4], ["--lr", 0.01], ["--batch-size", 8], ["--seed", 10],

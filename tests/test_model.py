@@ -13,7 +13,7 @@ from hyperts.model import (SPEC_FIELDS, Model, ModelSpec, build, load_model,
                            min_window)
 from hyperts.nn import ShapeError
 from hyperts.search import Grid, enumerate_specs
-from hyperts.train import TrainConfig, fit
+from hyperts.train import Adam, TrainConfig, fit
 
 
 def spec_for(kind, size, algebra=None, n_dense1=0, n_dense2=0, dense_units=8,
@@ -362,3 +362,64 @@ class TestParameterVectors:
         with pytest.raises(ValueError, match=rf"04_dense\.{name} was rebound"):
             fit(model, rng.normal(size=(8, 10, 4)), rng.normal(size=(8, 1)),
                 TrainConfig(epochs=2, batch_size=4))
+
+
+STACK_KINDS = [("cnn", 3, None), ("lstm", 3, None), ("hyper", 2, "quaternion"),
+               ("hyper", 1, "coquaternion"), ("hyper", 2, "cl11")]
+
+
+def members_of(kind, size, alg, seeds=(1, 2, 3)):
+    """Fresh models of one spec, every layer class in it, one per seed."""
+    return [build(spec_for(kind, size, alg, n_dense1=1, n_dense2=1,
+                           dense_units=4, dense_activation="relu", window=8,
+                           span=2, seed=seed)) for seed in seeds]
+
+
+class TestStack:
+    @pytest.mark.parametrize("kind,size,alg", STACK_KINDS)
+    def test_members_view_their_rows(self, kind, size, alg):
+        members = members_of(kind, size, alg)
+        before = [m.params()[0].copy() for m in members]
+        stacked = Model.stack(members)
+        (params,), (grads,) = stacked.params(), stacked.grads()
+        assert params.shape == grads.shape == (3, members[0].param_count())
+        assert stacked.param_count() == members[0].param_count()
+        for row, (member, values) in enumerate(zip(members, before)):
+            assert_vectors_linked(member)
+            assert np.shares_memory(member.params()[0], params[row])
+            assert np.shares_memory(member.grads()[0], grads[row])
+            np.testing.assert_array_equal(params[row], values)
+
+    @pytest.mark.parametrize("kind,size,alg", STACK_KINDS)
+    def test_finite_differences(self, kind, size, alg, rng):
+        stacked = Model.stack(members_of(kind, size, alg, seeds=(5, 6)))
+        check_model_gradients(stacked, rng.normal(size=(2, 3, 8, 4)), rng)
+
+    @pytest.mark.parametrize("kind,size,alg", STACK_KINDS)
+    def test_nan_in_one_member_leaves_the_others_bit_equal(self, kind, size,
+                                                           alg, rng):
+        x = rng.normal(size=(3, 6, 8, 4))
+        y = rng.normal(size=(3, 6, 2))
+
+        def one_step(poison):
+            members = members_of(kind, size, alg)
+            if poison:
+                members[1].layers[0].w.flat[0] = np.nan
+            stacked = Model.stack(members)
+            out = stacked.forward(x, training=True)
+            stacked.backward(out - y)
+            grads = stacked.grads()[0].copy()
+            Adam(stacked.params(), lr=1e-2).step(stacked.grads())
+            return out, grads, stacked.params()[0]
+
+        clean, poisoned = one_step(False), one_step(True)
+        for a, b in zip(clean, poisoned):
+            assert np.isnan(b[1]).any()
+            for row in (0, 2):
+                assert np.array_equal(a[row].view(np.int64),
+                                      b[row].view(np.int64))
+
+    def test_rejects_input_without_the_member_axis(self, rng):
+        stacked = Model.stack(members_of("cnn", 3, None))
+        with pytest.raises(ShapeError, match=r"members=3, batch, 8, 4"):
+            stacked.forward(rng.normal(size=(6, 8, 4)))

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import check_layer_gradients, max_rel_err, numeric_grad
 from hyperts.algebra import AlgebraKind, hmul, left_mul_matrix, table_for
 from hyperts.nn import (Activation, Conv1D, Dense, Dropout, Flatten,
-                        HyperDense, LSTM, MaxPool1D, ShapeError)
+                        HyperDense, LSTM, MaxPool1D, ShapeError, stack)
 
 
 class TestHyperDense:
@@ -513,3 +513,70 @@ class TestUpstreamGradientShape:
                            match=r"upstream gradient shape .* does not match"
                                  r" output shape"):
             lyr.backward(bad)
+
+
+# name -> (layer from an rng, (time, features) of its input)
+STACKABLE = {
+    "HyperDense": (lambda r: HyperDense(2, 3, AlgebraKind.COQUATERNION,
+                                        Activation.RELU, rng=r), (6, 8)),
+    "HyperDense-1-unit": (lambda r: HyperDense(1, 1, AlgebraKind.CLIFFORD11,
+                                               rng=r), (6, 4)),
+    "Dense": (lambda r: Dense(4, 3, Activation.RELU, rng=r), (6, 4)),
+    "Conv1D": (lambda r: Conv1D(4, 3, rng=r), (6, 4)),
+    "LSTM": (lambda r: LSTM(4, 3, rng=r), (6, 4)),
+    "MaxPool1D": (lambda r: MaxPool1D(2), (7, 4)),
+    "Flatten": (lambda r: Flatten(), (6, 4)),
+    "Dropout": (lambda r: Dropout(0.5, rng=r), (6, 4)),
+}
+MEMBER_SEEDS = (3, 4, 5)
+
+
+def fresh(name):
+    """One layer of class ``name`` per member seed, biases off zero."""
+    make = STACKABLE[name][0]
+    layers = [make(np.random.default_rng(seed)) for seed in MEMBER_SEEDS]
+    for lyr, seed in zip(layers, MEMBER_SEEDS):
+        for pname, p in zip(lyr.param_names(), lyr.params()):
+            if pname == "b":
+                p += np.random.default_rng(seed + 100).normal(size=p.shape)
+    return layers
+
+
+def member_input(name, rng):
+    t, f = STACKABLE[name][1]
+    return rng.normal(size=(len(MEMBER_SEEDS), 5, t, f))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+class TestStackedLayers:
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("name", list(STACKABLE))
+    def test_each_member_computes_its_own_bits(self, name, training, rng):
+        stacked = stack(fresh(name))
+        assert stacked.members == len(MEMBER_SEEDS)
+        x = member_input(name, rng)
+        y = stacked.forward(x, training=training)
+        g = rng.normal(size=y.shape)
+        dx = stacked.backward(g)
+        for i, lyr in enumerate(fresh(name)):
+            assert same_bits(lyr.forward(x[i], training=training), y[i])
+            assert same_bits(lyr.backward(g[i]), dx[i])
+            for mine, stacked_grad in zip(lyr.grads(), stacked.grads()):
+                assert same_bits(mine, stacked_grad[i])
+
+    @pytest.mark.parametrize("name", list(STACKABLE))
+    def test_gradients(self, name, rng):
+        stacked = stack(fresh(name)[:2])
+        check_layer_gradients(stacked, member_input(name, rng)[:2], rng)
+
+    def test_rejects_input_without_the_member_axis(self, rng):
+        stacked = stack(fresh("LSTM"))
+        with pytest.raises(ShapeError, match=r"members=3, batch, time"):
+            stacked.forward(rng.normal(size=(5, 6, 4)))
+        with pytest.raises(ShapeError, match=r"members=3, batch, time"):
+            stacked.forward(rng.normal(size=(2, 5, 6, 4)))

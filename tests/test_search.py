@@ -104,9 +104,11 @@ def read_results(out):
 class TestCrossValidate:
     def test_returns_10_fold_maes(self):
         ds, plan = small_dataset()
-        mean, maes = cross_validate(hyper_spec(), ds, plan, FAST, base_seed=1)
+        mean, maes, params = cross_validate(hyper_spec(), ds, plan, FAST,
+                                            base_seed=1)
         assert len(maes) == 10
         assert mean == pytest.approx(np.mean(maes))
+        assert params == build(hyper_spec()).param_count()
 
     def test_matches_independent_fold_loop(self):
         # scripted oracle: the same protocol written as a direct loop
@@ -121,23 +123,20 @@ class TestCrossValidate:
             fit(model, ds.x[train_idx], ds.y[train_idx],
                 dataclasses.replace(FAST, seed=shuffle_seed))
             want.append(evaluate(model, ds.x[fold], ds.y[fold]))
-        mean, maes = cross_validate(spec, ds, plan, FAST, base_seed=7)
+        mean, maes, _ = cross_validate(spec, ds, plan, FAST, base_seed=7)
         assert maes == want
 
     def test_zero_model_scores_mean_abs_target(self, monkeypatch):
         ds, plan = small_dataset()
 
-        class ZeroModel:
-            def forward(self, x, training=False):
-                return np.zeros((x.shape[0], 1))
+        def zero_fit(model, x, y, cfg):
+            # every member views its row of the stack's vector, so zeroed
+            # weights make each fold's model predict exactly 0
+            model.params()[0][...] = 0.0
+            return [[] for _ in cfg.seed]
 
-            def param_count(self):
-                return 0
-
-        monkeypatch.setattr(search_mod, "build", lambda spec: ZeroModel())
-        monkeypatch.setattr(search_mod, "fit",
-                            lambda model, x, y, cfg: [])
-        mean, maes = cross_validate(hyper_spec(), ds, plan, FAST)
+        monkeypatch.setattr(search_mod, "fit", zero_fit)
+        mean, maes, _ = cross_validate(hyper_spec(), ds, plan, FAST)
         # folds are equal-sized here, so the unweighted fold mean equals the
         # mean absolute target over the cv block
         want = float(np.mean(np.abs(ds.y[plan.cv_indices])))
@@ -154,6 +153,43 @@ class TestCrossValidate:
         plan.folds[3] = plan.folds[3][:0]
         with pytest.raises(ValueError, match="fold"):
             cross_validate(hyper_spec(), ds, plan, FAST)
+
+
+STACK_SPECS = [("cnn", 3, None), ("lstm", 3, None)] + [
+    ("hyper", size, algebra) for algebra in ("quaternion", "coquaternion",
+                                              "cl11") for size in (1, 2)]
+# (rows, batch size): window-10 CV blocks of 80, 88 and 112 samples. The
+# first splits into ten equal folds, so one stack trains them all; the
+# others give training sets of two sizes (79/80 and 100/101), and at batch
+# 20 those take 5 and 6 steps per epoch, the last one of a single sample.
+STACK_SPLITS = [(110, 32), (120, 32), (150, 20)]
+
+
+class TestStackedCrossValidate:
+    @pytest.mark.parametrize("rows,batch", STACK_SPLITS,
+                             ids=["one-size", "two-sizes", "two-step-counts"])
+    @pytest.mark.parametrize("kind,size,algebra", STACK_SPECS,
+                             ids=[f"{k}{s}-{a}" if a else f"{k}{s}"
+                                  for k, s, a in STACK_SPECS])
+    def test_fold_maes_equal_fitting_each_fold_alone(self, kind, size,
+                                                     algebra, rows, batch):
+        ds, plan = small_dataset(n_rows=rows)
+        config = TrainConfig(epochs=2, batch_size=batch, lr=1e-2)
+        spec = ModelSpec(kind=kind, size=size, algebra=algebra, n_dense1=1,
+                         n_dense2=1, dense_units=4, dense_activation="relu",
+                         window=10, span=1, seed=0)
+        sizes = {len(plan.cv_indices) - len(fold) for fold in plan.folds}
+        assert len(sizes) == (1 if rows == 110 else 2)
+        if rows == 150:
+            assert len({-(-n // batch) for n in sizes}) == 2
+        want = []
+        for k, fold in enumerate(plan.folds):
+            model, _ = search_mod._fit_fold(
+                spec, ds, np.setdiff1d(plan.cv_indices, fold), config, 4, k)
+            want.append(evaluate(model, ds.x[fold], ds.y[fold]))
+        _, maes, params = cross_validate(spec, ds, plan, config, base_seed=4)
+        assert maes == want
+        assert params == model.param_count()
 
 
 class TestRunSearch:
@@ -180,7 +216,7 @@ class TestRunSearch:
         specs = [hyper_spec(size=1), hyper_spec(size=4)]
         oracle = {}
         for spec in specs:
-            mean, _ = cross_validate(spec, ds, plan, FAST, base_seed=5)
+            mean, _, _ = cross_validate(spec, ds, plan, FAST, base_seed=5)
             oracle[spec.canonical()] = mean
         result = run_search(specs, ds, plan, tmp_path, config=FAST,
                             base_seed=5)
@@ -356,15 +392,21 @@ def canonical_bytes(out):
 
 
 def count_fits(monkeypatch):
-    """Count calls of ``search._fit_fold`` from here on."""
+    """List the spec of every fold fitted from here on: one entry per call
+    of ``search._fit_fold``, and one per fold of a ``_fit_folds`` stack."""
     calls = []
-    real = search_mod._fit_fold
+    real_fold, real_folds = search_mod._fit_fold, search_mod._fit_folds
 
-    def counted(*args, **kw):
+    def fold(*args, **kw):
         calls.append(args[0])
-        return real(*args, **kw)
+        return real_fold(*args, **kw)
 
-    monkeypatch.setattr(search_mod, "_fit_fold", counted)
+    def folds(*args, **kw):
+        calls.extend([args[0]] * len(args[5]))
+        return real_folds(*args, **kw)
+
+    monkeypatch.setattr(search_mod, "_fit_fold", fold)
+    monkeypatch.setattr(search_mod, "_fit_folds", folds)
     return calls
 
 

@@ -1,10 +1,12 @@
 """Loss/metric functions, Adam updates, and the training loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import max_rel_err, numeric_grad
-from hyperts.model import ModelSpec, build
+from hyperts.model import Model, ModelSpec, build
 from hyperts.nn import ShapeError
 from hyperts.train import Adam, TrainConfig, evaluate, fit, mae, mse, mse_grad
 
@@ -201,6 +203,26 @@ class TestFit:
         refs = model.params()
         fit(model, x, y, TrainConfig(epochs=2, seed=0))
         assert all(r is p for r, p in zip(refs, model.params()))
+
+
+class TestStackedFit:
+    @pytest.mark.parametrize("kind", ["cnn", "lstm"])
+    def test_each_member_trains_as_if_alone(self, kind, rng):
+        # 45 samples at batch 8: five full steps and a last one of five
+        x = rng.normal(size=(3, 45, 6, 4))
+        y = 2.0 * x[..., -1, :1] + rng.normal(scale=0.1, size=(3, 45, 1))
+        config = TrainConfig(epochs=3, batch_size=8, seed=(5, 6, 7), lr=1e-2)
+        members = [build(tiny_spec(seed=s, kind=kind, size=3))
+                   for s in (9, 10, 11)]
+        histories = fit(Model.stack(members), x, y, config)
+        assert len(histories) == 3
+        for i, (member, seed) in enumerate(zip(members, config.seed)):
+            alone = build(tiny_spec(seed=9 + i, kind=kind, size=3))
+            history = fit(alone, x[i], y[i],
+                          dataclasses.replace(config, seed=seed))
+            assert histories[i] == history
+            np.testing.assert_array_equal(member.params()[0],
+                                          alone.params()[0])
 
 
 class TestEvaluate:
