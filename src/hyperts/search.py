@@ -49,6 +49,12 @@ ACTIVATIONS = ["linear", "relu"]
 ALL_ALGEBRAS = [k.value for k in AlgebraKind]
 # the fields of a ledger record that results.ndjson and best.json keep
 CANONICAL_FIELDS = ("spec", "fold_maes", "mean_mae", "param_count")
+# The largest (size, window), by class, whose folds train as one stack. A
+# stack saves per-call overhead but holds every member's activations at
+# once, so it pays only while one member's step is small; past these
+# limits one config's CV timed no faster or slower stacked (CHANGES.md has
+# the figures). An LSTM steps through time, so its window does not count.
+STACK_LIMITS = {"lstm": (32, math.inf), "cnn": (32, 20), "hyper": (32, 10)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,8 +130,8 @@ def _fit_fold(spec: ModelSpec, dataset: WindowedDataset,
     retrain) on ``train_idx``, seeded by ``fold_seeds``."""
     model_seed, shuffle_seed = fold_seeds(base_seed, spec, k)
     model = build(dataclasses.replace(spec, seed=model_seed))
-    history = fit(model, dataset.x[train_idx], dataset.y[train_idx],
-                  dataclasses.replace(config, seed=shuffle_seed))
+    history = fit(model, dataset.x, dataset.y,
+                  dataclasses.replace(config, seed=shuffle_seed), train_idx)
     return model, history
 
 
@@ -139,8 +145,9 @@ def _fit_folds(spec: ModelSpec, dataset: WindowedDataset,
     seeds = [fold_seeds(base_seed, spec, k) for k in ks]
     members = [build(dataclasses.replace(spec, seed=model_seed))
                for model_seed, _ in seeds]
-    fit(Model.stack(members), dataset.x[train_idx], dataset.y[train_idx],
-        dataclasses.replace(config, seed=tuple(seed for _, seed in seeds)))
+    fit(Model.stack(members), dataset.x, dataset.y,
+        dataclasses.replace(config, seed=tuple(seed for _, seed in seeds)),
+        train_idx)
     return members
 
 
@@ -151,27 +158,38 @@ def cross_validate(spec: ModelSpec, dataset: WindowedDataset, plan: SplitPlan,
     Returns the mean, the fold MAEs and the spec's parameter count.
 
     A fresh model is built per fold from a seed derived from
-    (base_seed, spec id, fold index). Folds whose training sets are of one
-    size (``np.array_split`` folds give at most two sizes) train together
-    as one ``Model.stack``, so each step serves all of them; every member
-    shuffles, draws dropout and is scored on its own fold, and its MAE has
-    the bits of fitting that fold alone with ``_fit_fold``.
+    (base_seed, spec id, fold index). When the spec's size and window are
+    within its class's ``STACK_LIMITS``, folds whose training sets are of
+    one size (``np.array_split`` folds give at most two sizes) train
+    together as one ``Model.stack``, so each step serves all of them;
+    every member shuffles, draws dropout and is scored on its own fold.
+    Other specs, and a size held by one fold only, fit each fold alone
+    with ``_fit_fold``. Either way a fold's MAE has the bits of
+    ``_fit_fold``.
     """
     if any(len(f) < 1 for f in plan.folds):
         raise ValueError("cross_validate: every fold needs at least 1 sample")
     train = [np.setdiff1d(plan.cv_indices, fold) for fold in plan.folds]
-    groups: dict[int, list[int]] = {}
+    max_size, max_window = STACK_LIMITS[spec.kind]
+    stacked = spec.size <= max_size and spec.window <= max_window
+    groups: dict[int, list[int]] = {}  # by training-set size, or by fold
     for k, idx in enumerate(train):
-        groups.setdefault(len(idx), []).append(k)
+        groups.setdefault(len(idx) if stacked else k, []).append(k)
     maes = [0.0] * len(plan.folds)
     for ks in groups.values():
-        members = _fit_folds(spec, dataset, np.stack([train[k] for k in ks]),
-                             config, base_seed, ks)
+        if len(ks) == 1:
+            members = [_fit_fold(spec, dataset, train[ks[0]], config,
+                                 base_seed, ks[0])[0]]
+        else:
+            members = _fit_folds(spec, dataset,
+                                 np.stack([train[k] for k in ks]), config,
+                                 base_seed, ks)
         for k, member in zip(ks, members):
             fold = plan.folds[k]
             maes[k] = evaluate(member, dataset.x[fold], dataset.y[fold])
         param_count = members[0].param_count()
-        del members  # free this group's weights before the next group's fit
+        # free this group's weights and caches before the next group's fit
+        del members, member
     return float(np.mean(maes)), maes, param_count
 
 

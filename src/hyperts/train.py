@@ -88,7 +88,7 @@ class Adam:
 class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
-    seed: int = 0  # a tuple, one per member, to fit a Model.stack
+    seed: int | tuple[int, ...] = 0  # one per member of a Model.stack
     lr: float = 1e-3
 
     def __post_init__(self):
@@ -101,31 +101,43 @@ class TrainConfig:
 
 
 def fit(model: Model, x: np.ndarray, y: np.ndarray,
-        config: TrainConfig = TrainConfig()) -> list:
+        config: TrainConfig = TrainConfig(),
+        index: np.ndarray | None = None) -> list:
     """Train with minibatch Adam on MSE; returns per-epoch (loss, mae).
 
-    Shuffling is seeded from config.seed, so identical (model seed, config,
-    data) runs produce bit-identical weights and histories. Parameters are
-    updated in place.
+    ``index`` names the rows of ``x`` and ``y`` to train on (default all),
+    so a caller that trains on a subset need not copy it. Shuffling is
+    seeded from config.seed, so identical (model seed, config, data) runs
+    produce bit-identical weights and histories. Parameters are updated in
+    place.
 
-    A ``Model.stack`` of members takes a sequence of shuffle seeds, one per
-    member, as ``config.seed``, and ``x``/``y`` with a leading member axis:
-    member ``i`` trains on ``x[i]``/``y[i]``, shuffled by its own seed, so
-    all members share each step and every member's weights and history
-    (one list per member is returned) are the bits of fitting it alone.
+    A ``Model.stack`` of members takes a tuple of shuffle seeds, one per
+    member, as ``config.seed``, and ``index`` with a leading member axis
+    (``[members, n]``; a 1-D ``index`` serves every member): member ``i``
+    trains on rows ``index[i]`` of the shared ``x`` and ``y``, shuffled by
+    its own seed, so all members share each step and every member's
+    weights and history (one list per member is returned) are the bits of
+    fitting it alone.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    lead = np.ndim(config.seed)  # 1 for a stacked model's seed list
-    seeds = config.seed if lead else [config.seed]
-    n = x.shape[lead]
+    if len(y) != len(x):
+        raise ShapeError(f"fit: {len(x)} inputs but {len(y)} targets")
+    lead = model.layers[0]._lead()  # (members,) for a stacked model
+    if lead and np.shape(config.seed) != lead:
+        raise ValueError(f"fit: a stack of {lead[0]} members needs"
+                         f" {lead[0]} shuffle seeds, got {config.seed!r}")
+    seeds = config.seed if lead else (config.seed,)
+    index = np.arange(len(x)) if index is None else np.asarray(index)
+    if index.ndim == 0 or index.shape[:-1] not in ((), lead):
+        raise ShapeError(f"fit: index of shape {index.shape} for a model"
+                         f" of {len(seeds)} member(s)")
+    index = np.broadcast_to(index, (len(seeds), index.shape[-1]))
+    n = index.shape[-1]
     if n == 0:
         raise ValueError("fit: empty training slice")
-    if y.shape[lead] != n:
-        raise ShapeError(f"fit: {n} inputs but {y.shape[lead]} targets")
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    rows = np.arange(len(seeds))[:, None]
-    per = tuple(range(1, y.ndim)) if lead else None  # one member's errors
+    per = tuple(range(1, y.ndim + 1)) if lead else None  # one member's errors
     opt = Adam(model.params(), lr=config.lr)
     histories = [[] for _ in seeds]
     for _ in range(config.epochs):
@@ -134,12 +146,13 @@ def fit(model: Model, x: np.ndarray, y: np.ndarray,
         mae_sum = np.zeros(len(seeds))
         for start in range(0, n, config.batch_size):
             idx = orders[:, start:start + config.batch_size]
-            take = (rows, idx) if lead else idx[0]
+            take = np.take_along_axis(index, idx, axis=1)
+            take = take if lead else take[0]
             err = _error(model.forward(x[take], training=True), y[take],
                          "mse")
             loss_sum += _mse_of(err, per) * idx.shape[1]
             mae_sum += _mae_of(err, per) * idx.shape[1]
-            model.backward(_mse_grad_of(err, math.prod(err.shape[lead:])))
+            model.backward(_mse_grad_of(err, idx.shape[1] * y[0].size))
             opt.step(model.grads())
         for history, loss, score in zip(histories, loss_sum / n,
                                         mae_sum / n):

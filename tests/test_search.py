@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import hyperts.search as search_mod
 from conftest import synthetic_table
 from hyperts.data import make_windows, split
-from hyperts.model import ModelSpec, build
+from hyperts.model import CLASS_KINDS, ModelSpec, build
 from hyperts.search import (Grid, cross_validate, enumerate_specs, fold_seeds,
                             run_search)
 from hyperts.train import TrainConfig, evaluate, fit
@@ -75,12 +77,12 @@ class TestEnumerate:
         assert no_dense[0].dense_activation == "linear"
 
 
-def small_dataset(n_rows=110, noise=0.05, seed=11):
+def small_dataset(n_rows=110, noise=0.05, seed=11, window=10):
     table = synthetic_table(n=n_rows, noise=noise, seed=seed)
     from hyperts.data import standardize
 
     std, scaler = standardize(table)
-    ds = make_windows(std, "T0", window=10, span=1, scaler=scaler)
+    ds = make_windows(std, "T0", window=window, span=1, scaler=scaler)
     return ds, split(ds, cv_fraction=0.8, folds=10)
 
 
@@ -129,7 +131,7 @@ class TestCrossValidate:
     def test_zero_model_scores_mean_abs_target(self, monkeypatch):
         ds, plan = small_dataset()
 
-        def zero_fit(model, x, y, cfg):
+        def zero_fit(model, x, y, cfg, index):
             # every member views its row of the stack's vector, so zeroed
             # weights make each fold's model predict exactly 0
             model.params()[0][...] = 0.0
@@ -166,13 +168,17 @@ STACK_SPLITS = [(110, 32), (120, 32), (150, 20)]
 
 
 class TestStackedCrossValidate:
+    @pytest.mark.parametrize("limit", [math.inf, 0],
+                             ids=["stacked", "per-fold"])
     @pytest.mark.parametrize("rows,batch", STACK_SPLITS,
                              ids=["one-size", "two-sizes", "two-step-counts"])
     @pytest.mark.parametrize("kind,size,algebra", STACK_SPECS,
                              ids=[f"{k}{s}-{a}" if a else f"{k}{s}"
                                   for k, s, a in STACK_SPECS])
-    def test_fold_maes_equal_fitting_each_fold_alone(self, kind, size,
-                                                     algebra, rows, batch):
+    def test_fold_maes_equal_fitting_each_fold_alone(
+            self, kind, size, algebra, rows, batch, limit, monkeypatch):
+        monkeypatch.setattr(search_mod, "STACK_LIMITS",
+                            dict.fromkeys(CLASS_KINDS, (limit, limit)))
         ds, plan = small_dataset(n_rows=rows)
         config = TrainConfig(epochs=2, batch_size=batch, lr=1e-2)
         spec = ModelSpec(kind=kind, size=size, algebra=algebra, n_dense1=1,
@@ -190,6 +196,48 @@ class TestStackedCrossValidate:
         _, maes, params = cross_validate(spec, ds, plan, config, base_seed=4)
         assert maes == want
         assert params == model.param_count()
+
+    @pytest.mark.parametrize("kind,size,window,stacked", [
+        ("lstm", 32, 20, True), ("lstm", 64, 10, False),
+        ("cnn", 32, 20, True), ("cnn", 64, 10, False), ("cnn", 8, 40, False),
+        ("hyper", 32, 10, True), ("hyper", 1, 20, False)])
+    def test_stacks_only_within_the_class_limits(self, kind, size, window,
+                                                  stacked, monkeypatch):
+        ds, plan = small_dataset(n_rows=110 + window, window=window)
+        spec = ModelSpec(kind=kind, size=size,
+                         algebra="cl11" if kind == "hyper" else None,
+                         n_dense1=0, n_dense2=0, dense_units=8,
+                         dense_activation="linear", window=window, span=1,
+                         seed=0)
+        stacks = []
+        real = search_mod._fit_folds
+
+        def fit_folds(*args):
+            stacks.append(len(args[5]))
+            return real(*args)
+
+        monkeypatch.setattr(search_mod, "_fit_folds", fit_folds)
+        cross_validate(spec, ds, plan, dataclasses.replace(FAST, epochs=1))
+        # a CV block of 88 windows gives training sets of 79 and 80, held
+        # by 8 and 2 folds
+        assert sorted(stacks) == ([2, 8] if stacked else [])
+
+    def test_frees_each_fold_model_before_the_next_fit(self, monkeypatch):
+        monkeypatch.setattr(search_mod, "STACK_LIMITS",
+                            dict.fromkeys(CLASS_KINDS, (0, 0)))
+        refs = []
+        real = search_mod._fit_fold
+
+        def fit_fold(*args):
+            assert [ref() for ref in refs] == [None] * len(refs)
+            model, history = real(*args)
+            refs.append(weakref.ref(model))
+            return model, history
+
+        monkeypatch.setattr(search_mod, "_fit_fold", fit_fold)
+        ds, plan = small_dataset()
+        cross_validate(hyper_spec(), ds, plan, FAST)
+        assert len(refs) == 10
 
 
 class TestRunSearch:

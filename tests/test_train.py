@@ -104,6 +104,7 @@ class DenseOnly:
 
         self.layer = Dense(in_features, units,
                            rng=np.random.default_rng(seed))
+        self.layers = [self.layer]  # fit reads the member axis off layer 0
 
     def forward(self, x, training=False):
         return self.layer.forward(x, training=training)
@@ -208,21 +209,48 @@ class TestFit:
 class TestStackedFit:
     @pytest.mark.parametrize("kind", ["cnn", "lstm"])
     def test_each_member_trains_as_if_alone(self, kind, rng):
-        # 45 samples at batch 8: five full steps and a last one of five
-        x = rng.normal(size=(3, 45, 6, 4))
-        y = 2.0 * x[..., -1, :1] + rng.normal(scale=0.1, size=(3, 45, 1))
+        # members train on their own 45 of 60 shared rows, at batch 8: five
+        # full steps and a last one of five
+        x = rng.normal(size=(60, 6, 4))
+        y = 2.0 * x[:, -1, :1] + rng.normal(scale=0.1, size=(60, 1))
+        index = np.stack([np.sort(rng.permutation(60)[:45])
+                          for _ in range(3)])
         config = TrainConfig(epochs=3, batch_size=8, seed=(5, 6, 7), lr=1e-2)
         members = [build(tiny_spec(seed=s, kind=kind, size=3))
                    for s in (9, 10, 11)]
-        histories = fit(Model.stack(members), x, y, config)
+        histories = fit(Model.stack(members), x, y, config, index)
         assert len(histories) == 3
         for i, (member, seed) in enumerate(zip(members, config.seed)):
             alone = build(tiny_spec(seed=9 + i, kind=kind, size=3))
-            history = fit(alone, x[i], y[i],
+            history = fit(alone, x[index[i]], y[index[i]],
                           dataclasses.replace(config, seed=seed))
             assert histories[i] == history
             np.testing.assert_array_equal(member.params()[0],
                                           alone.params()[0])
+
+    def test_index_matches_fitting_the_copied_rows(self, rng):
+        x, y = linear_problem(rng)
+        rows = np.sort(rng.permutation(len(x))[:50])
+        config = TrainConfig(epochs=3, batch_size=8, seed=4, lr=1e-2)
+        by_index, by_copy = build(tiny_spec(seed=2)), build(tiny_spec(seed=2))
+        assert (fit(by_index, x, y, config, rows)
+                == fit(by_copy, x[rows], y[rows], config))
+        np.testing.assert_array_equal(by_index.params()[0],
+                                      by_copy.params()[0])
+
+    @pytest.mark.parametrize("seed", [5, (5, 6), (5, 6, 7, 8)])
+    def test_seed_count_must_match_members(self, seed, rng):
+        stacked = Model.stack([build(tiny_spec(seed=s)) for s in (1, 2, 3)])
+        x, y = linear_problem(rng)
+        with pytest.raises(ValueError, match="3 members needs 3 shuffle"):
+            fit(stacked, x, y, TrainConfig(epochs=1, seed=seed))
+
+    def test_index_needs_one_row_per_member(self, rng):
+        stacked = Model.stack([build(tiny_spec(seed=s)) for s in (1, 2)])
+        x, y = linear_problem(rng)
+        index = np.zeros((3, 10), dtype=int)
+        with pytest.raises(ShapeError, match=r"index of shape \(3, 10\)"):
+            fit(stacked, x, y, TrainConfig(epochs=1, seed=(1, 2)), index)
 
 
 class TestEvaluate:

@@ -14,10 +14,13 @@ resumed from its ledger; ``h_workers``, the H cell scored by two worker
 processes; and ``h_rerun``, the H cell searched twice, the second run
 reusing the first one's winner. The files of ``h_resumed``, ``h_workers``
 and ``h_rerun`` must equal those of ``h``. Cross-validation trains the
-folds of one training-set size as one stacked model: every single cell's
-152 CV windows give training sets of 136 and 137 (two stacks), and so do
-the grid's cells but those at window 20, span 5 (140 windows, one
-stack), so both cases reach the digests for every class. It prints one
+folds of one training-set size as one stacked model when the spec is
+within ``search.STACK_LIMITS``: every single cell's 152 CV windows give
+training sets of 136 and 137 (two stacks), and so do the grid's CNN and
+LSTM cells but those at window 20, span 5 (140 windows, one stack); the
+grid's H and HR cells at window 20 fit each fold alone. So both stacking
+cases reach the digests for every class, and so does the per-fold path.
+It prints one
 ``sha256  relative/path`` line per file written, sorted by path, except the
 two files that are not canonical artifacts: ``progress.ndjson`` (the resume
 ledger, whose records also hold each config's seconds and the run's stamp)
