@@ -194,8 +194,8 @@ def cmd_search(args) -> int:
         grid = dataclasses.replace(
             grid, sizes=_restrict(grid.sizes, sizes),
             dense_units=_restrict(grid.dense_units, dense_units))
-        specs = enumerate_specs(grid, window, span, args.seed)
-        specs = specs[:args.max_configs]
+        specs = enumerate_specs(grid, window, span, args.seed,
+                                limit=args.max_configs)
 
         result = run_search(specs, dataset, plan, out, config=config,
                             base_seed=args.seed, workers=args.workers)

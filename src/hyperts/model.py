@@ -28,6 +28,8 @@ SPEC_FIELDS = ("test_layer", "n_dense1", "n_dense2", "dense_units",
 PARAM_ENTRY_FIELDS = ("layer", "param", "shape", "values")
 # the most weight values Model.save encodes in one piece
 SAVE_CHUNK = 4096
+# the most windows an inference forward sends through the layers at once
+INFER_ROWS = 256
 
 INPUT_CHANNELS = 4
 CONV_KERNEL = 3
@@ -258,6 +260,18 @@ class Model:
         return [self._grads]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        """Outputs for a batch of windows.
+
+        With ``training=False`` a batch of more than ``INFER_ROWS`` windows
+        goes through the layers in ``np.array_split`` parts of at least
+        ``INFER_ROWS / 2`` windows, and every layer's cache is dropped after
+        each part, so memory does not grow with the number of windows. The
+        output is the parts' outputs concatenated: the bits of one pass
+        wherever BLAS runs the same kernel for a part's rows as for the
+        whole batch's. No cache is left afterwards, so a later ``backward``
+        raises ``RuntimeError``. A training forward, or an inference forward
+        of at most ``INFER_ROWS`` windows, is one pass that keeps every
+        layer's cache for ``backward``."""
         lead = self.layers[0]._lead()
         expect = (self.spec.window, INPUT_CHANNELS)
         shape = np.shape(x)
@@ -266,6 +280,18 @@ class Model:
             member = f"members={lead[0]}, " if lead else ""
             raise ShapeError(f"model expects input [{member}batch,"
                              f" {expect[0]}, {expect[1]}], got {shape}")
+        axis = len(lead)
+        if training or shape[axis] <= INFER_ROWS:
+            return self._pass(x, training)
+        parts = []
+        for part in np.array_split(x, math.ceil(shape[axis] / INFER_ROWS),
+                                   axis=axis):
+            parts.append(self._pass(part, False))
+            for lyr in self.layers:
+                lyr._cache = None
+        return np.concatenate(parts, axis=axis)
+
+    def _pass(self, x, training: bool) -> np.ndarray:
         for lyr in self.layers:
             x = lyr.forward(x, training=training)
         return x

@@ -90,13 +90,15 @@ class Grid:
         return math.prod(len(axis) for axis in self.axes())
 
 
-def enumerate_specs(grid: Grid, window: int, span: int,
-                    seed: int) -> list[ModelSpec]:
+def enumerate_specs(grid: Grid, window: int, span: int, seed: int,
+                    limit: int | None = None) -> list[ModelSpec]:
     """Lexicographic Cartesian product, deduplicated.
 
     When both optional dense layers are absent the (dense_units, activation)
     axes are inert: those combinations collapse to one canonical spec with
-    the grid's first dense_units and activation values.
+    the grid's first dense_units and activation values. With ``limit`` the
+    enumeration stops at that many specs, so it returns the first ``limit``
+    specs of the whole enumeration.
     """
     specs: list[ModelSpec] = []
     seen: set[str] = set()
@@ -112,6 +114,8 @@ def enumerate_specs(grid: Grid, window: int, span: int,
         if key not in seen:
             seen.add(key)
             specs.append(spec)
+            if len(specs) == limit:
+                break
     return specs
 
 

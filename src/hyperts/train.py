@@ -161,7 +161,9 @@ def fit(model: Model, x: np.ndarray, y: np.ndarray,
 
 
 def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> float:
-    """MAE of inference-mode predictions (dropout inactive)."""
+    """MAE of inference-mode predictions (dropout inactive). ``Model.forward``
+    computes them in parts of at most ``model.INFER_ROWS`` windows, so the
+    memory they take does not grow with the number of windows."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape[0] == 0:

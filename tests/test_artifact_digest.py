@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import pathlib
 import re
@@ -18,6 +19,8 @@ SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "tools" / \
     "artifact_digest.py"
 CELL_FILES = ("best.json", "best_model.json", "cell.json",
               "history_best.csv", "results.ndjson")
+# the single cells whose winner predicts 600 seeded windows
+PREDICT_CELLS = ("h", "cnn", "lstm", "h_algebras")
 
 
 def run_script(*args):
@@ -48,6 +51,7 @@ def expected_paths():
         f"grid/{label}_w{w}_s{s}" for label in ("CNN", "LSTM", "H", "HR")
         for w in (10, 20) for s in (1, 5)]
     paths |= {f"{cell}/{name}" for cell in cells for name in CELL_FILES}
+    paths |= {f"{cell}/predictions.csv" for cell in PREDICT_CELLS}
     return paths
 
 
@@ -78,6 +82,10 @@ def test_one_digest_per_artifact(digest_run):
     assert {s["test_layer"] for s in specs} == {
         "hyper:1:quaternion", "hyper:1:coquaternion", "hyper:1:cl11"}
     assert {s["n_dense1"] for s in specs} == {0, 1}
+    for cell in PREDICT_CELLS:
+        rows = (out / cell / "predictions.csv").read_text().splitlines()
+        assert rows[0] == "y0" and len(rows) == 601, cell
+        assert all(math.isfinite(float(row)) for row in rows[1:]), cell
 
     again = run_script(out)
     assert again.returncode == 2 and again.stdout == ""

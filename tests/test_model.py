@@ -3,14 +3,15 @@ serialization, and full-model gradients."""
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hyperts.model as model_mod
 from conftest import check_model_gradients
-from hyperts.model import (SPEC_FIELDS, Model, ModelSpec, build, load_model,
-                           min_window)
+from hyperts.model import (INFER_ROWS, SPEC_FIELDS, Model, ModelSpec, build,
+                           load_model, min_window)
 from hyperts.nn import ShapeError
 from hyperts.search import Grid, enumerate_specs
 from hyperts.train import Adam, TrainConfig, fit
@@ -423,3 +424,94 @@ class TestStack:
         stacked = Model.stack(members_of("cnn", 3, None))
         with pytest.raises(ShapeError, match=r"members=3, batch, 8, 4"):
             stacked.forward(rng.normal(size=(6, 8, 4)))
+
+
+CHUNK_KINDS = [("cnn", 4, None), ("lstm", 3, None), ("hyper", 2, "quaternion"),
+               ("hyper", 2, "coquaternion"), ("hyper", 2, "cl11")]
+
+
+def chunk_model(kind, size, alg, dense):
+    return build(spec_for(kind, size, alg, n_dense1=dense, n_dense2=dense,
+                          dense_units=8, dense_activation="relu", span=2,
+                          seed=9))
+
+
+def bits(a):
+    return a.shape, a.dtype, a.tobytes()
+
+
+class TestChunkedInference:
+    @pytest.mark.parametrize("n", [INFER_ROWS, INFER_ROWS + 1,
+                                   2 * INFER_ROWS + 37])
+    @pytest.mark.parametrize("dense", [0, 1])
+    @pytest.mark.parametrize("kind,size,alg", CHUNK_KINDS)
+    def test_equals_a_loop_over_the_parts(self, kind, size, alg, dense, n,
+                                          rng):
+        model = chunk_model(kind, size, alg, dense)
+        x = rng.normal(size=(n, 10, 4))
+        parts = np.array_split(x, -(-n // INFER_ROWS))
+        assert min(len(p) for p in parts) >= INFER_ROWS // 2
+        want = np.concatenate([model.forward(p) for p in parts])
+        assert bits(model.forward(x)) == bits(want)
+
+    def test_stacked_model_chunks_along_the_batch_axis(self, rng):
+        stacked = Model.stack(members_of("lstm", 3, None, seeds=(1, 2)))
+        x = rng.normal(size=(2, INFER_ROWS + 1, 8, 4))
+        want = np.concatenate([stacked.forward(p) for p in
+                               np.array_split(x, 2, axis=1)], axis=1)
+        assert bits(stacked.forward(x)) == bits(want)
+
+    def test_one_chunk_keeps_the_caches_for_backward(self, rng):
+        model = chunk_model("lstm", 3, None, 1)
+        model.forward(rng.normal(size=(INFER_ROWS, 10, 4)))
+        dx = model.backward(rng.normal(size=(INFER_ROWS, 2)))
+        assert dx.shape == (INFER_ROWS, 10, 4)
+        assert np.any(model.grads()[0] != 0)
+
+    @pytest.mark.parametrize("kind,size,alg", CHUNK_KINDS)
+    def test_several_chunks_leave_no_cache(self, kind, size, alg, rng):
+        model = chunk_model(kind, size, alg, 1)
+        model.forward(rng.normal(size=(INFER_ROWS + 1, 10, 4)))
+        assert all(lyr._cache is None for lyr in model.layers)
+        with pytest.raises(RuntimeError, match="backward called before"):
+            model.backward(rng.normal(size=(INFER_ROWS + 1, 2)))
+
+    @pytest.mark.parametrize("kind,size,alg", CHUNK_KINDS)
+    def test_training_forward_is_one_pass(self, kind, size, alg, rng):
+        x = rng.normal(size=(600, 10, 4))
+        upstream = rng.normal(size=(600, 2))
+        model, manual = (chunk_model(kind, size, alg, 1) for _ in range(2))
+        model.forward(x, training=True)
+        dx = model.backward(upstream)
+        want_x, want_dx = x, upstream
+        for lyr in manual.layers:
+            want_x = lyr.forward(want_x, training=True)
+        for lyr in reversed(manual.layers):
+            want_dx = lyr.backward(want_dx)
+        assert bits(dx) == bits(want_dx)
+        assert bits(model.grads()[0]) == bits(manual.grads()[0])
+
+
+def inference_peak(model, n, rng) -> int:
+    """Bytes that ``model.forward`` over ``n`` windows allocates at its
+    peak, beyond what was allocated before the call."""
+    x = rng.normal(size=(n, model.spec.window, 4))
+    model.forward(x[:2])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model.forward(x)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind,size,alg,window", [
+    ("hyper", 32, "quaternion", 10), ("lstm", 16, None, 40)])
+def test_inference_memory_does_not_grow_with_windows(kind, size, alg, window,
+                                                     rng):
+    model = build(spec_for(kind, size, alg, n_dense1=1, n_dense2=1,
+                           dense_units=32, window=window))
+    one = inference_peak(model, INFER_ROWS, rng)
+    eight = inference_peak(model, 8 * INFER_ROWS, rng)
+    assert eight <= 2 * one, f"{eight / one:.2f}x the one-chunk peak"

@@ -76,6 +76,18 @@ class TestEnumerate:
         assert no_dense[0].dense_units == 8
         assert no_dense[0].dense_activation == "linear"
 
+    @pytest.mark.parametrize("grid", [
+        Grid.default("cnn"), Grid.default("hyper"),
+        Grid.default("hyper", algebras=["cl11"]),
+        Grid(kind="lstm", sizes=(8, 16), dense_units=(8, 16),
+             activations=("linear", "relu"))])
+    def test_limit_takes_the_first_specs(self, grid):
+        full = [s.canonical() for s in enumerate_specs(grid, 10, 1, 0)]
+        for limit in (1, 2, 3, 7, 40, len(full) - 1, len(full),
+                      len(full) + 5):
+            got = enumerate_specs(grid, 10, 1, 0, limit=limit)
+            assert [s.canonical() for s in got] == full[:limit], limit
+
 
 def small_dataset(n_rows=110, noise=0.05, seed=11, window=10):
     table = synthetic_table(n=n_rows, noise=noise, seed=seed)

@@ -13,7 +13,10 @@ H cell of all three algebras with and without the per-step Dense;
 resumed from its ledger; ``h_workers``, the H cell scored by two worker
 processes; and ``h_rerun``, the H cell searched twice, the second run
 reusing the first one's winner. The files of ``h_resumed``, ``h_workers``
-and ``h_rerun`` must equal those of ``h``. Cross-validation trains the
+and ``h_rerun`` must equal those of ``h``. The winners of ``h``, ``cnn``,
+``lstm`` and ``h_algebras`` then predict 600 seeded windows into each
+cell's ``predictions.csv``: more than ``model.INFER_ROWS``, so the digests
+cover an inference pass run in parts. Cross-validation trains the
 folds of one training-set size as one stacked model when the spec is
 within ``search.STACK_LIMITS``: every single cell's 152 CV windows give
 training sets of 136 and 137 (two stacks), and so do the grid's CNN and
@@ -81,6 +84,9 @@ SINGLE_CELLS = (
     ("h_rerun", "h", ["--max-configs", "6"]),
     ("h_rerun", "h", ["--max-configs", "6"]),
 )
+# single cells whose winner predicts PREDICT_WINDOWS seeded windows
+PREDICT_CELLS = ("h", "cnn", "lstm", "h_algebras")
+PREDICT_WINDOWS = 600
 # files under a cell that are no canonical artifact (see the docstring)
 NOT_CANONICAL = ("progress.ndjson", "best.stamp")
 GRID = ["--windows", "10,20", "--spans", "1,5", "--sizes", "8",
@@ -120,6 +126,22 @@ def write_fixture(out: pathlib.Path) -> pathlib.Path:
     return manifest
 
 
+def write_predictions(cell: pathlib.Path) -> None:
+    """The cell winner's inference-mode predictions of ``PREDICT_WINDOWS``
+    seeded standard-normal windows, one ``repr`` row per window, as
+    ``cell/predictions.csv``."""
+    from hyperts.model import load_model
+
+    model = load_model(cell / "best_model.json")
+    x = np.random.default_rng(SEED).normal(
+        size=(PREDICT_WINDOWS, model.spec.window, 4))
+    pred = model.forward(x, training=False)
+    with open(cell / "predictions.csv", "w") as fh:
+        fh.write(",".join(f"y{j}" for j in range(pred.shape[1])) + "\n")
+        for row in pred.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
 def run_all(out: pathlib.Path) -> None:
     """Write the fixture and every run's artifacts under ``out``."""
     # imported here so that --compare runs without a build on the path
@@ -143,6 +165,8 @@ def run_all(out: pathlib.Path) -> None:
         for argv in commands:
             if cli.main([str(a) for a in argv]) != 0:
                 raise SystemExit(f"hyperts {argv[0]} failed")
+    for name in PREDICT_CELLS:
+        write_predictions(out / name)
 
 
 def canonical_files(out: pathlib.Path) -> list[str]:
