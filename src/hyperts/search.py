@@ -98,8 +98,10 @@ def enumerate_specs(grid: Grid, window: int, span: int, seed: int,
     axes are inert: those combinations collapse to one canonical spec with
     the grid's first dense_units and activation values. With ``limit`` the
     enumeration stops at that many specs, so it returns the first ``limit``
-    specs of the whole enumeration.
+    specs of the whole enumeration; a limit below 1 raises ``ValueError``.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"enumerate_specs: limit must be >= 1, got {limit}")
     specs: list[ModelSpec] = []
     seen: set[str] = set()
     for size, algebra, nd1, nd2, units, act in itertools.product(
@@ -127,32 +129,26 @@ def fold_seeds(base_seed: int, spec: ModelSpec, fold: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
-def _fit_fold(spec: ModelSpec, dataset: WindowedDataset,
-              train_idx: np.ndarray, config: TrainConfig, base_seed: int,
-              k: int) -> tuple[Model, list[tuple[float, float]]]:
-    """Fit a fresh model of fold ``k`` (the fold count for the winner's
-    retrain) on ``train_idx``, seeded by ``fold_seeds``."""
-    model_seed, shuffle_seed = fold_seeds(base_seed, spec, k)
-    model = build(dataclasses.replace(spec, seed=model_seed))
-    history = fit(model, dataset.x, dataset.y,
-                  dataclasses.replace(config, seed=shuffle_seed), train_idx)
-    return model, history
-
-
 def _fit_folds(spec: ModelSpec, dataset: WindowedDataset,
                train_idx: np.ndarray, config: TrainConfig, base_seed: int,
-               ks: list[int]) -> list[Model]:
-    """What ``_fit_fold`` gives for each fold of ``ks``, from one stacked
-    fit: row ``i`` of ``train_idx`` is fold ``ks[i]``'s training set, and
-    every member is built and shuffled from that fold's ``fold_seeds``.
-    Returns the trained member models."""
+               ks: list[int]) -> tuple[list[Model], list[list]]:
+    """Fresh models of the folds ``ks`` (the fold count for the winner's
+    retrain on the whole CV block), each built and shuffled from its
+    ``fold_seeds``: row ``i`` of ``train_idx`` is fold ``ks[i]``'s training
+    set. Several folds train as one ``Model.stack``, so each step serves
+    all of them and every member gets the bits of fitting it alone; a lone
+    fold is a plain fit, which times faster than a stack of one (CHANGES.md
+    has the figures). Returns the trained models and their histories."""
     seeds = [fold_seeds(base_seed, spec, k) for k in ks]
-    members = [build(dataclasses.replace(spec, seed=model_seed))
-               for model_seed, _ in seeds]
-    fit(Model.stack(members), dataset.x, dataset.y,
-        dataclasses.replace(config, seed=tuple(seed for _, seed in seeds)),
-        train_idx)
-    return members
+    models = [build(dataclasses.replace(spec, seed=model_seed))
+              for model_seed, _ in seeds]
+    shuffle = tuple(seed for _, seed in seeds)
+    if len(ks) == 1:
+        return models, [fit(models[0], dataset.x, dataset.y,
+                            dataclasses.replace(config, seed=shuffle[0]),
+                            train_idx[0])]
+    return models, fit(Model.stack(models), dataset.x, dataset.y,
+                       dataclasses.replace(config, seed=shuffle), train_idx)
 
 
 def cross_validate(spec: ModelSpec, dataset: WindowedDataset, plan: SplitPlan,
@@ -161,15 +157,12 @@ def cross_validate(spec: ModelSpec, dataset: WindowedDataset, plan: SplitPlan,
     """Mean MAE over k folds: train on cv minus fold, score MAE on the fold.
     Returns the mean, the fold MAEs and the spec's parameter count.
 
-    A fresh model is built per fold from a seed derived from
-    (base_seed, spec id, fold index). When the spec's size and window are
-    within its class's ``STACK_LIMITS``, folds whose training sets are of
-    one size (``np.array_split`` folds give at most two sizes) train
-    together as one ``Model.stack``, so each step serves all of them;
-    every member shuffles, draws dropout and is scored on its own fold.
-    Other specs, and a size held by one fold only, fit each fold alone
-    with ``_fit_fold``. Either way a fold's MAE has the bits of
-    ``_fit_fold``.
+    Folds are fitted in groups by ``_fit_folds``, each from a seed derived
+    from (base_seed, spec id, fold index). When the spec's size and window
+    are within its class's ``STACK_LIMITS``, a group is every fold whose
+    training set has one size (``np.array_split`` folds give at most two
+    sizes); otherwise every fold is a group of its own. Each fold's model
+    is scored on its fold, and its MAE has the same bits either way.
     """
     if any(len(f) < 1 for f in plan.folds):
         raise ValueError("cross_validate: every fold needs at least 1 sample")
@@ -181,30 +174,29 @@ def cross_validate(spec: ModelSpec, dataset: WindowedDataset, plan: SplitPlan,
         groups.setdefault(len(idx) if stacked else k, []).append(k)
     maes = [0.0] * len(plan.folds)
     for ks in groups.values():
-        if len(ks) == 1:
-            members = [_fit_fold(spec, dataset, train[ks[0]], config,
-                                 base_seed, ks[0])[0]]
-        else:
-            members = _fit_folds(spec, dataset,
-                                 np.stack([train[k] for k in ks]), config,
-                                 base_seed, ks)
-        for k, member in zip(ks, members):
+        models, _ = _fit_folds(spec, dataset, np.stack([train[k] for k in ks]),
+                               config, base_seed, ks)
+        for k, model in zip(ks, models):
             fold = plan.folds[k]
-            maes[k] = evaluate(member, dataset.x[fold], dataset.y[fold])
-        param_count = members[0].param_count()
+            maes[k] = evaluate(model, dataset.x[fold], dataset.y[fold])
+        param_count = models[0].param_count()
         # free this group's weights and caches before the next group's fit
-        del members, member
+        del models, model
     return float(np.mean(maes)), maes, param_count
 
 
 def _best_of(records: list[dict]) -> dict:
     """argmin mean MAE, ties broken by smaller param_count then by the
-    lexicographic canonical spec. A non-finite mean ranks after every finite
-    one, and is never the winner."""
-    best = min(records, key=lambda r: (not math.isfinite(r["mean_mae"]),
-                                       r["mean_mae"], r["param_count"],
+    lexicographic canonical spec. A mean that is null (a non-finite mean,
+    as ledgers record it) or not finite (the ``NaN`` of older ledgers)
+    ranks after every finite one, and is never the winner."""
+    def mean_of(record):
+        mean = record["mean_mae"]
+        return mean if mean is not None and math.isfinite(mean) else math.inf
+
+    best = min(records, key=lambda r: (mean_of(r), r["param_count"],
                                        spec_key(r["spec"])))
-    if not math.isfinite(best["mean_mae"]):
+    if mean_of(best) == math.inf:
         raise ValueError("no configuration has a finite mean MAE")
     return best
 
@@ -215,10 +207,11 @@ def _eval_spec(spec: ModelSpec, dataset: WindowedDataset, plan: SplitPlan,
     mean_mae, maes, param_count = cross_validate(spec, dataset, plan, config,
                                                  base_seed)
     seconds = time.perf_counter() - start
+    # JSON has no NaN, so a ledger records a non-finite score as null
     return {
         "spec": spec.to_json_dict(),
-        "fold_maes": maes,
-        "mean_mae": mean_mae,
+        "fold_maes": [mae if math.isfinite(mae) else None for mae in maes],
+        "mean_mae": mean_mae if math.isfinite(mean_mae) else None,
         "param_count": param_count,
         "seconds": seconds,
     }
@@ -228,7 +221,7 @@ def _run_stamp(dataset: WindowedDataset, plan: SplitPlan,
                config: TrainConfig, base_seed: int) -> str:
     """Hash of all that a ledger record's scores depend on besides its spec:
     the training settings with the base seed in place of ``config.seed``
-    (which ``_fit_fold`` overrides), the split sizes and the windowed data."""
+    (which ``_fit_folds`` replaces), the split sizes and the windowed data."""
     settings = dict(dataclasses.asdict(config), seed=base_seed,
                     cv=len(plan.cv_indices),
                     folds=[len(fold) for fold in plan.folds],
@@ -305,7 +298,8 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
     intact = ledger_bytes[:ledger_bytes.rfind(b"\n") + 1]
     for line in intact.splitlines():
         if line.strip():
-            record = json.loads(line)
+            # an older ledger's bare NaN reads back as null
+            record = json.loads(line, parse_constant=lambda _: None)
             if record.get("run") != run:
                 raise ValueError(
                     f"{progress_path}: scored under other training settings,"
@@ -344,8 +338,8 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
     if cached is not None:
         return cached
     spec = ModelSpec.from_json_dict(best["spec"])
-    model, history = _fit_fold(spec, dataset, plan.cv_indices, config,
-                               base_seed, len(plan.folds))
+    (model,), (history,) = _fit_folds(spec, dataset, plan.cv_indices[None],
+                                      config, base_seed, [len(plan.folds)])
     holdout_mae = evaluate(model, dataset.x[plan.holdout_indices],
                            dataset.y[plan.holdout_indices])
     model.save(out / BEST_MODEL_FILE)

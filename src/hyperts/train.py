@@ -105,15 +105,15 @@ def fit(model: Model, x: np.ndarray, y: np.ndarray,
         index: np.ndarray | None = None) -> list:
     """Train with minibatch Adam on MSE; returns per-epoch (loss, mae).
 
-    ``index`` names the rows of ``x`` and ``y`` to train on (default all),
-    so a caller that trains on a subset need not copy it. Shuffling is
-    seeded from config.seed, so identical (model seed, config, data) runs
-    produce bit-identical weights and histories. Parameters are updated in
-    place.
+    ``index`` names the rows of ``x`` and ``y`` to train on (default all,
+    for a plain model), so a caller that trains on a subset need not copy
+    it. Shuffling is seeded from config.seed, so identical (model seed,
+    config, data) runs produce bit-identical weights and histories.
+    Parameters are updated in place.
 
-    A ``Model.stack`` of members takes a tuple of shuffle seeds, one per
-    member, as ``config.seed``, and ``index`` with a leading member axis
-    (``[members, n]``; a 1-D ``index`` serves every member): member ``i``
+    The model's member axis ``lead`` (``()``, or ``(members,)`` for a
+    ``Model.stack``) sets both shapes: ``config.seed`` has shape ``lead``
+    and ``index`` has shape ``lead + (n,)``. So member ``i`` of a stack
     trains on rows ``index[i]`` of the shared ``x`` and ``y``, shuffled by
     its own seed, so all members share each step and every member's
     weights and history (one list per member is returned) are the bits of
@@ -123,21 +123,21 @@ def fit(model: Model, x: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     if len(y) != len(x):
         raise ShapeError(f"fit: {len(x)} inputs but {len(y)} targets")
-    lead = model.layers[0]._lead()  # (members,) for a stacked model
-    if lead and np.shape(config.seed) != lead:
-        raise ValueError(f"fit: a stack of {lead[0]} members needs"
-                         f" {lead[0]} shuffle seeds, got {config.seed!r}")
-    seeds = config.seed if lead else (config.seed,)
+    lead = model.layers[0]._lead()
+    if np.shape(config.seed) != lead:
+        raise ValueError(f"fit: a model of member shape {lead} needs shuffle"
+                         f" seeds of that shape, got {config.seed!r}")
     index = np.arange(len(x)) if index is None else np.asarray(index)
-    if index.ndim == 0 or index.shape[:-1] not in ((), lead):
-        raise ShapeError(f"fit: index of shape {index.shape} for a model"
-                         f" of {len(seeds)} member(s)")
-    index = np.broadcast_to(index, (len(seeds), index.shape[-1]))
+    if index.ndim != len(lead) + 1 or index.shape[:-1] != lead:
+        raise ShapeError(f"fit: index of shape {index.shape} for a model of"
+                         f" member shape {lead}")
     n = index.shape[-1]
     if n == 0:
         raise ValueError("fit: empty training slice")
+    rows = index.reshape(-1, n)  # one row per member
+    seeds = np.ravel(config.seed).tolist()
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    per = tuple(range(1, y.ndim + 1)) if lead else None  # one member's errors
+    per = tuple(range(len(lead), len(lead) + y.ndim))  # one member's errors
     opt = Adam(model.params(), lr=config.lr)
     histories = [[] for _ in seeds]
     for _ in range(config.epochs):
@@ -146,8 +146,8 @@ def fit(model: Model, x: np.ndarray, y: np.ndarray,
         mae_sum = np.zeros(len(seeds))
         for start in range(0, n, config.batch_size):
             idx = orders[:, start:start + config.batch_size]
-            take = np.take_along_axis(index, idx, axis=1)
-            take = take if lead else take[0]
+            take = np.take_along_axis(rows, idx, axis=1).reshape(
+                lead + (-1,))
             err = _error(model.forward(x[take], training=True), y[take],
                          "mse")
             loss_sum += _mse_of(err, per) * idx.shape[1]

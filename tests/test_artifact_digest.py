@@ -20,7 +20,7 @@ SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "tools" / \
 CELL_FILES = ("best.json", "best_model.json", "cell.json",
               "history_best.csv", "results.ndjson")
 # the single cells whose winner predicts 600 seeded windows
-PREDICT_CELLS = ("h", "cnn", "lstm", "h_algebras")
+PREDICT_CELLS = ("h", "cnn", "lstm", "h_algebras", "cnn_s5")
 
 
 def run_script(*args):
@@ -47,7 +47,7 @@ def expected_paths():
               for a, b in itertools.combinations_with_replacement(
                   ("T0", "T1", "T2", "T3"), 2)}
     cells = ["h", "cnn", "lstm", "h_algebras", "h_resumed", "h_workers",
-             "h_rerun"] + [
+             "h_rerun", "cnn_s5"] + [
         f"grid/{label}_w{w}_s{s}" for label in ("CNN", "LSTM", "H", "HR")
         for w in (10, 20) for s in (1, 5)]
     paths |= {f"{cell}/{name}" for cell in cells for name in CELL_FILES}
@@ -83,9 +83,14 @@ def test_one_digest_per_artifact(digest_run):
         "hyper:1:quaternion", "hyper:1:coquaternion", "hyper:1:cl11"}
     assert {s["n_dense1"] for s in specs} == {0, 1}
     for cell in PREDICT_CELLS:
+        span = json.loads((out / cell / "cell.json").read_text())["span"]
         rows = (out / cell / "predictions.csv").read_text().splitlines()
-        assert rows[0] == "y0" and len(rows) == 601, cell
-        assert all(math.isfinite(float(row)) for row in rows[1:]), cell
+        assert rows[0] == ",".join(f"y{j}" for j in range(span)), cell
+        assert len(rows) == 601, cell
+        assert all(math.isfinite(float(value)) for row in rows[1:]
+                   for value in row.split(",")), cell
+    assert json.loads((out / "cnn_s5" / "best.json").read_text())["spec"][
+        "test_layer"] == "cnn:32"
 
     again = run_script(out)
     assert again.returncode == 2 and again.stdout == ""

@@ -14,7 +14,7 @@ from hyperts.data import make_windows, split
 from hyperts.model import CLASS_KINDS, ModelSpec, build
 from hyperts.search import (Grid, cross_validate, enumerate_specs, fold_seeds,
                             run_search)
-from hyperts.train import TrainConfig, evaluate, fit
+from hyperts.train import TrainConfig, evaluate, fit, write_history_csv
 
 
 def count_signatures(grid):
@@ -88,6 +88,12 @@ class TestEnumerate:
             got = enumerate_specs(grid, 10, 1, 0, limit=limit)
             assert [s.canonical() for s in got] == full[:limit], limit
 
+    @pytest.mark.parametrize("limit", [0, -1, -125])
+    def test_limit_below_one_rejected(self, limit):
+        with pytest.raises(ValueError,
+                           match=rf"limit must be >= 1, got {limit}$"):
+            enumerate_specs(Grid.default("cnn"), 10, 1, 0, limit=limit)
+
 
 def small_dataset(n_rows=110, noise=0.05, seed=11, window=10):
     table = synthetic_table(n=n_rows, noise=noise, seed=seed)
@@ -113,6 +119,16 @@ def read_results(out):
     """The records of the canonical ledger ``results.ndjson`` in ``out``."""
     return [json.loads(line)
             for line in (out / "results.ndjson").read_text().splitlines()]
+
+
+def strict_records(path):
+    """The records of an NDJSON ledger, parsed as strict JSON: a bare
+    ``NaN`` or ``Infinity`` raises."""
+    def reject(constant):
+        raise ValueError(f"{path.name}: bare {constant}")
+
+    return [json.loads(line, parse_constant=reject)
+            for line in path.read_text().splitlines()]
 
 
 class TestCrossValidate:
@@ -202,8 +218,11 @@ class TestStackedCrossValidate:
             assert len({-(-n // batch) for n in sizes}) == 2
         want = []
         for k, fold in enumerate(plan.folds):
-            model, _ = search_mod._fit_fold(
-                spec, ds, np.setdiff1d(plan.cv_indices, fold), config, 4, k)
+            model_seed, shuffle_seed = fold_seeds(4, spec, k)
+            model = build(dataclasses.replace(spec, seed=model_seed))
+            rows = np.setdiff1d(plan.cv_indices, fold)
+            fit(model, ds.x[rows], ds.y[rows],
+                dataclasses.replace(config, seed=shuffle_seed))
             want.append(evaluate(model, ds.x[fold], ds.y[fold]))
         _, maes, params = cross_validate(spec, ds, plan, config, base_seed=4)
         assert maes == want
@@ -232,21 +251,21 @@ class TestStackedCrossValidate:
         cross_validate(spec, ds, plan, dataclasses.replace(FAST, epochs=1))
         # a CV block of 88 windows gives training sets of 79 and 80, held
         # by 8 and 2 folds
-        assert sorted(stacks) == ([2, 8] if stacked else [])
+        assert sorted(stacks) == ([2, 8] if stacked else [1] * 10)
 
     def test_frees_each_fold_model_before_the_next_fit(self, monkeypatch):
         monkeypatch.setattr(search_mod, "STACK_LIMITS",
                             dict.fromkeys(CLASS_KINDS, (0, 0)))
         refs = []
-        real = search_mod._fit_fold
+        real = search_mod._fit_folds
 
-        def fit_fold(*args):
+        def fit_folds(*args):
             assert [ref() for ref in refs] == [None] * len(refs)
-            model, history = real(*args)
-            refs.append(weakref.ref(model))
-            return model, history
+            models, histories = real(*args)
+            refs.extend(weakref.ref(model) for model in models)
+            return models, histories
 
-        monkeypatch.setattr(search_mod, "_fit_fold", fit_fold)
+        monkeypatch.setattr(search_mod, "_fit_folds", fit_folds)
         ds, plan = small_dataset()
         cross_validate(hyper_spec(), ds, plan, FAST)
         assert len(refs) == 10
@@ -430,15 +449,96 @@ class TestRunSearch:
              "param_count": 300},
             {"spec": {"test_layer": "cnn:32"}, "mean_mae": float("inf"),
              "param_count": 50},
+            {"spec": {"test_layer": "cnn:64"}, "mean_mae": None,
+             "param_count": 10},  # as a ledger records a non-finite mean
         ]
         for order in (records, records[::-1]):
             assert search_mod._best_of(order)["mean_mae"] == 0.5
 
     def test_no_finite_mean_raises(self):
-        records = [{"spec": {"test_layer": "cnn:8"}, "mean_mae": float("nan"),
-                    "param_count": 100}]
+        records = [{"spec": {"test_layer": f"cnn:{i}"}, "mean_mae": mean,
+                    "param_count": 100}
+                   for i, mean in enumerate([math.nan, None, math.inf])]
         with pytest.raises(ValueError, match="finite"):
             search_mod._best_of(records)
+
+    def test_winner_is_a_plain_fit_on_the_cv_block(self, tmp_path):
+        # scripted oracle: the winner's retrain written as one direct fit
+        ds, plan = small_dataset()
+        spec = hyper_spec(size=2)
+        run_search([spec], ds, plan, tmp_path / "cell", config=FAST,
+                   base_seed=6)
+        model_seed, shuffle_seed = fold_seeds(6, spec, len(plan.folds))
+        model = build(dataclasses.replace(spec, seed=model_seed))
+        cv = plan.cv_indices
+        history = fit(model, ds.x[cv], ds.y[cv],
+                      dataclasses.replace(FAST, seed=shuffle_seed))
+        model.save(tmp_path / "best_model.json")
+        write_history_csv(history, tmp_path / "history_best.csv",
+                          header_lines=[f"spec: {spec.canonical()}"])
+        for name in ("best_model.json", "history_best.csv"):
+            assert (tmp_path / "cell" / name).read_bytes() == \
+                (tmp_path / name).read_bytes(), name
+
+
+class TestNonFiniteScores:
+    """A diverged config's scores are ``null`` in both ledgers, never a bare
+    ``NaN``, which is not JSON."""
+
+    SPECS = [hyper_spec(size=1), hyper_spec(size=2)]
+
+    def search(self, out, monkeypatch, specs=None):
+        """Search with size-2 configs scoring NaN on their first fold, and
+        so a NaN mean."""
+        real = search_mod.cross_validate
+
+        def scorer(spec, *args):
+            mean, maes, params = real(spec, *args)
+            if spec.size == 2:
+                mean, maes = math.nan, [math.nan] + maes[1:]
+            return mean, maes, params
+
+        monkeypatch.setattr(search_mod, "cross_validate", scorer)
+        ds, plan = small_dataset()
+        return run_search(specs or self.SPECS, ds, plan, out, config=FAST,
+                          base_seed=2)
+
+    def test_ledgers_record_null(self, tmp_path, monkeypatch):
+        result = self.search(tmp_path, monkeypatch)
+        for name in ("progress.ndjson", "results.ndjson"):
+            by_size = {r["spec"]["test_layer"]: r
+                       for r in strict_records(tmp_path / name)}
+            bad = by_size["hyper:2:quaternion"]
+            assert bad["mean_mae"] is None, name
+            assert bad["fold_maes"][0] is None, name
+            assert all(math.isfinite(m) for m in bad["fold_maes"][1:]), name
+        assert result.best["spec"] == self.SPECS[0].to_json_dict()
+
+    def test_finite_records_unchanged(self, tmp_path, monkeypatch):
+        self.search(tmp_path / "both", monkeypatch)
+        self.search(tmp_path / "finite", monkeypatch, self.SPECS[:1])
+        lines = (tmp_path / "both" / "results.ndjson").read_text() \
+            .splitlines(keepends=True)
+        assert lines[0] == \
+            (tmp_path / "finite" / "results.ndjson").read_text()
+        assert (tmp_path / "both" / "best.json").read_bytes() == \
+            (tmp_path / "finite" / "best.json").read_bytes()
+
+    @pytest.mark.parametrize("written", ["null", "NaN"])
+    def test_resume_reads_non_finite_records_back(self, written, tmp_path,
+                                                  monkeypatch):
+        self.search(tmp_path / "fresh", monkeypatch)
+        out = tmp_path / "resumed"
+        self.search(out, monkeypatch)
+        ledger = out / "progress.ndjson"
+        if written == "NaN":  # as an older ledger wrote it
+            ledger.write_text(ledger.read_text().replace("null", "NaN"))
+        (out / "results.ndjson").unlink()
+        calls = count_fits(monkeypatch)
+        self.search(out, monkeypatch)
+        assert calls == []
+        strict_records(out / "results.ndjson")
+        assert canonical_bytes(out) == canonical_bytes(tmp_path / "fresh")
 
 
 def dir_bytes(out, skip=()):
@@ -452,20 +552,15 @@ def canonical_bytes(out):
 
 
 def count_fits(monkeypatch):
-    """List the spec of every fold fitted from here on: one entry per call
-    of ``search._fit_fold``, and one per fold of a ``_fit_folds`` stack."""
+    """List the spec of every fold fitted from here on, the winner's retrain
+    included: one entry per fold of each ``search._fit_folds`` call."""
     calls = []
-    real_fold, real_folds = search_mod._fit_fold, search_mod._fit_folds
-
-    def fold(*args, **kw):
-        calls.append(args[0])
-        return real_fold(*args, **kw)
+    real = search_mod._fit_folds
 
     def folds(*args, **kw):
         calls.extend([args[0]] * len(args[5]))
-        return real_folds(*args, **kw)
+        return real(*args, **kw)
 
-    monkeypatch.setattr(search_mod, "_fit_fold", fold)
     monkeypatch.setattr(search_mod, "_fit_folds", folds)
     return calls
 

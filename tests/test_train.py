@@ -242,8 +242,15 @@ class TestStackedFit:
     def test_seed_count_must_match_members(self, seed, rng):
         stacked = Model.stack([build(tiny_spec(seed=s)) for s in (1, 2, 3)])
         x, y = linear_problem(rng)
-        with pytest.raises(ValueError, match="3 members needs 3 shuffle"):
+        with pytest.raises(ValueError, match=r"member shape \(3,\) needs"):
             fit(stacked, x, y, TrainConfig(epochs=1, seed=seed))
+
+    @pytest.mark.parametrize("seed", [(1, 2), (1,)])
+    def test_plain_model_rejects_a_tuple_seed(self, seed, rng):
+        x, y = linear_problem(rng)
+        with pytest.raises(ValueError, match=r"member shape \(\) needs"):
+            fit(build(tiny_spec(seed=1)), x, y, TrainConfig(epochs=1,
+                                                            seed=seed))
 
     def test_index_needs_one_row_per_member(self, rng):
         stacked = Model.stack([build(tiny_spec(seed=s)) for s in (1, 2)])
@@ -251,6 +258,22 @@ class TestStackedFit:
         index = np.zeros((3, 10), dtype=int)
         with pytest.raises(ShapeError, match=r"index of shape \(3, 10\)"):
             fit(stacked, x, y, TrainConfig(epochs=1, seed=(1, 2)), index)
+
+    @pytest.mark.parametrize("index", [np.arange(10), None])
+    def test_stack_rejects_a_1d_index(self, index, rng):
+        # a 1-D index (the default, all rows, is one) is not broadcast to
+        # the members
+        stacked = Model.stack([build(tiny_spec(seed=s)) for s in (1, 2)])
+        x, y = linear_problem(rng)
+        with pytest.raises(ShapeError, match=r"index of shape \(\d+,\)"):
+            fit(stacked, x, y, TrainConfig(epochs=1, seed=(1, 2)), index)
+
+    @pytest.mark.parametrize("shape", [(), (1, 10)])
+    def test_plain_model_needs_a_1d_index(self, shape, rng):
+        x, y = linear_problem(rng)
+        index = np.zeros(shape, dtype=int)
+        with pytest.raises(ShapeError, match=r"member shape \(\)"):
+            fit(build(tiny_spec(seed=1)), x, y, TrainConfig(epochs=1), index)
 
 
 class TestEvaluate:

@@ -11,19 +11,23 @@ all into ``OUT_DIR``. The single cells are an H, a CNN and an LSTM cell; an
 H cell of all three algebras with and without the per-step Dense;
 ``h_resumed``, the H cell again, stopped after three configs and then
 resumed from its ledger; ``h_workers``, the H cell scored by two worker
-processes; and ``h_rerun``, the H cell searched twice, the second run
-reusing the first one's winner. The files of ``h_resumed``, ``h_workers``
-and ``h_rerun`` must equal those of ``h``. The winners of ``h``, ``cnn``,
-``lstm`` and ``h_algebras`` then predict 600 seeded windows into each
-cell's ``predictions.csv``: more than ``model.INFER_ROWS``, so the digests
-cover an inference pass run in parts. Cross-validation trains the
+processes; ``h_rerun``, the H cell searched twice, the second run
+reusing the first one's winner; and ``cnn_s5``, one bare CNN-32 at
+window 40, span 5. The files of ``h_resumed``, ``h_workers`` and
+``h_rerun`` must equal those of ``h``. The winners of ``h``, ``cnn``,
+``lstm``, ``h_algebras`` and ``cnn_s5`` then predict 600 seeded windows
+into each cell's ``predictions.csv``: more than ``model.INFER_ROWS``, so
+the digests cover an inference pass run in parts. The final Dense of
+``cnn_s5``'s winner reads 608 features, and for it those parts differ
+from one pass over all 600 windows in the last bits, so a change to how
+inference is cut shows in its digest. Cross-validation trains the
 folds of one training-set size as one stacked model when the spec is
-within ``search.STACK_LIMITS``: every single cell's 152 CV windows give
-training sets of 136 and 137 (two stacks), and so do the grid's CNN and
-LSTM cells but those at window 20, span 5 (140 windows, one stack); the
-grid's H and HR cells at window 20 fit each fold alone. So both stacking
-cases reach the digests for every class, and so does the per-fold path.
-It prints one
+within ``search.STACK_LIMITS``: every window-10 single cell's 152 CV
+windows give training sets of 136 and 137 (two stacks), and so do the
+grid's CNN and LSTM cells but those at window 20, span 5 (140 windows,
+one stack); the grid's H and HR cells at window 20 and ``cnn_s5`` fit
+each fold alone. So both stacking cases reach the digests for every
+class, and so does the per-fold path. It prints one
 ``sha256  relative/path`` line per file written, sorted by path, except the
 two files that are not canonical artifacts: ``progress.ndjson`` (the resume
 ledger, whose records also hold each config's seconds and the run's stamp)
@@ -83,9 +87,11 @@ SINGLE_CELLS = (
     ("h_workers", "h", ["--max-configs", "6", "--workers", "2"]),
     ("h_rerun", "h", ["--max-configs", "6"]),
     ("h_rerun", "h", ["--max-configs", "6"]),
+    ("cnn_s5", "cnn", ["--window", "40", "--span", "5", "--sizes", "32",
+                       "--max-configs", "1"]),
 )
 # single cells whose winner predicts PREDICT_WINDOWS seeded windows
-PREDICT_CELLS = ("h", "cnn", "lstm", "h_algebras")
+PREDICT_CELLS = ("h", "cnn", "lstm", "h_algebras", "cnn_s5")
 PREDICT_WINDOWS = 600
 # files under a cell that are no canonical artifact (see the docstring)
 NOT_CANONICAL = ("progress.ndjson", "best.stamp")
