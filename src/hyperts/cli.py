@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .analysis import all_pair_lag_curves, correlation_matrix, \
     write_lag_csv, write_matrix_csv
-from .data import SeriesTable, Scaler, align, load_csv, load_manifest, \
-    make_windows, split, standardize
+from .data import SeriesTable, Scaler, align, is_name_list, load_csv, \
+    load_manifest, make_windows, split, standardize
 from .model import read_json, require_keys, spec_key, write_csv, write_json
 from .report import build_report, write_report_csv, write_report_json
 from .search import CELL_FILE, Grid, enumerate_specs, run_search
@@ -74,15 +74,46 @@ def save_dataset(out_dir, table: SeriesTable, scaler: Scaler, target: str,
 
 
 def load_dataset(data_dir) -> tuple[SeriesTable, Scaler, str]:
+    """The table, scaler and target saved by ``save_dataset``; raises
+    ``ValueError`` naming the file and the field if ``order`` is not a
+    list of distinct names, ``target`` is not in it, ``dates`` are not ISO
+    dates, ``values`` is not [dates, order], or the scaler's ``order``,
+    ``mean`` or ``std`` does not match ``order``."""
     import datetime
     path = pathlib.Path(data_dir) / DATASET_FILE
     doc = read_json(path, ("dates", "order", "values", "scaler", "target"))
     require_keys(doc["scaler"], ("order", "mean", "std"), f"{path}: scaler")
-    table = SeriesTable(
-        dates=[datetime.date.fromisoformat(d) for d in doc["dates"]],
-        order=list(doc["order"]),
-        values=np.asarray(doc["values"], dtype=np.float64))
-    return table, Scaler.from_json_dict(doc["scaler"]), doc["target"]
+    order = doc["order"]
+    if not is_name_list(order):
+        raise ValueError(f"{path}: order is not a JSON list of names")
+    if len(set(order)) != len(order):
+        raise ValueError(f"{path}: order {order} names a column twice")
+    if doc["target"] not in order:
+        raise ValueError(f"{path}: target {doc['target']!r} is not in order"
+                         f" {order}")
+    try:
+        dates = [datetime.date.fromisoformat(d) for d in doc["dates"]]
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: dates is not a list of ISO dates") \
+            from None
+    try:
+        values = np.asarray(doc["values"], dtype=np.float64)
+    except (TypeError, ValueError):
+        values = None
+    want = (len(dates), len(order))
+    if values is None or values.shape != want:
+        raise ValueError(f"{path}: values is not a [dates, order] = {want}"
+                         f" table of numbers")
+    scaler = Scaler.from_json_dict(doc["scaler"])
+    if scaler.order != order:
+        raise ValueError(f"{path}: scaler.order {scaler.order} is not the"
+                         f" order {order}")
+    for field in ("mean", "std"):
+        if getattr(scaler, field).shape != (len(order),):
+            raise ValueError(f"{path}: scaler.{field} does not hold one"
+                             f" number per column of order {order}")
+    return (SeriesTable(dates=dates, order=order, values=values), scaler,
+            doc["target"])
 
 
 def cmd_ingest(args) -> int:
@@ -121,9 +152,23 @@ def cmd_correlate(args) -> int:
 
 # -- search ------------------------------------------------------------------
 
+def _rotated(order: list[str]) -> list[str]:
+    """The order with its first name moved to the end: (T1, T2, T3, T0)."""
+    return order[1:] + order[:1]
+
+
 def _class_label(kind: str, order: list[str], default_order: list[str]) -> str:
+    """``CNN``, ``LSTM`` or ``H`` for the dataset's own order, with an
+    ``R`` for its rotation; any other permutation of the dataset's columns
+    adds their positions, so (T1, T0, T3, T2) labels an H cell
+    ``H_1-0-3-2``."""
     base = {"cnn": "CNN", "lstm": "LSTM", "hyper": "H"}[kind]
-    return base if order == default_order else base + "R"
+    if order == default_order:
+        return base
+    if order == _rotated(default_order):
+        return base + "R"
+    return base + "_" + "-".join(str(default_order.index(name))
+                                 for name in order)
 
 
 def _restrict(values, wanted):
@@ -170,7 +215,7 @@ def cmd_search(args) -> int:
             else DEFAULT_WINDOWS
         spans = [int(s) for s in args.spans.split(",")] if args.spans \
             else DEFAULT_SPANS
-        rotated = default_order[1:] + default_order[:1]
+        rotated = _rotated(default_order)
         cells = [(k, w, s, o)
                  for w in windows for s in spans
                  for k, o in [("cnn", default_order), ("lstm", default_order),
@@ -183,12 +228,12 @@ def cmd_search(args) -> int:
         cells = [(kind, window, span, order)]
 
     for kind, window, span, order in cells:
+        dataset = make_windows(table, target, window, span, order=order,
+                               scaler=scaler)
         label = _class_label(kind, order, default_order)
         out = pathlib.Path(args.out)
         if args.all:
             out = out / f"{label}_w{window}_s{span}"
-        dataset = make_windows(table, target, window, span, order=order,
-                               scaler=scaler)
         plan = split(dataset, cv_fraction=0.8)
         grid = Grid.default(kind, algebras=algebras)
         grid = dataclasses.replace(

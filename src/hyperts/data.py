@@ -203,19 +203,29 @@ def split(dataset: WindowedDataset, cv_fraction: float = 0.8,
                      folds=np.array_split(cv_idx, folds))
 
 
+def is_name_list(doc) -> bool:
+    """Whether the JSON value ``doc`` is a list of strings."""
+    return isinstance(doc, list) and all(isinstance(n, str) for n in doc)
+
+
 def load_manifest(path) -> tuple[dict[str, str], list[str], str]:
     """Read a dataset manifest: ticker name -> csv path, channel order, and
-    target ticker (defaults to the first in order)."""
+    target ticker (defaults to the first in order). The order must name at
+    least one ticker, and each at most once."""
     doc = read_json(path, ("tickers", "order"))
     require_keys(doc["tickers"], (), f"{path}: tickers")
-    if not isinstance(doc["order"], list):
-        raise ValueError(f"{path}: order is not a JSON list")
+    if not is_name_list(doc["order"]):
+        raise ValueError(f"{path}: order is not a JSON list of names")
     tickers = dict(doc["tickers"])
     order = list(doc["order"])
+    if not order:
+        raise ValueError(f"{path}: order names no tickers")
+    if len(set(order)) != len(order):
+        raise ValueError(f"{path}: order {order} names a ticker twice")
     target = doc.get("target", order[0])
     missing = [t for t in order if t not in tickers]
     if missing:
-        raise ValueError(f"manifest order lists unknown tickers {missing}")
+        raise ValueError(f"{path}: order lists unknown tickers {missing}")
     if target not in order:
-        raise ValueError(f"manifest target {target!r} not in order {order}")
+        raise ValueError(f"{path}: target {target!r} not in order {order}")
     return tickers, order, target

@@ -211,7 +211,7 @@ class Model:
                              for i, lyr in enumerate(layers)
                              for pname in lyr.param_names()]
         params = np.concatenate(
-            [getattr(lyr, pname).reshape(layers[0]._lead() + (-1,))
+            [getattr(lyr, pname).reshape(layers[0].lead + (-1,))
              for _, lyr, pname in self._param_table], axis=-1)
         self._bind(params, np.zeros_like(params))
 
@@ -272,7 +272,7 @@ class Model:
         raises ``RuntimeError``. A training forward, or an inference forward
         of at most ``INFER_ROWS`` windows, is one pass that keeps every
         layer's cache for ``backward``."""
-        lead = self.layers[0]._lead()
+        lead = self.layers[0].lead
         expect = (self.spec.window, INPUT_CHANNELS)
         shape = np.shape(x)
         if (len(shape) != len(lead) + 3 or shape[:len(lead)] != lead

@@ -10,13 +10,14 @@ of attribute ``<name>`` lives at ``d<name>`` (same shape) and is filled by
 views into the model's parameter and gradient vectors, so ``backward()``
 writes gradients in place and nothing may rebind them.
 
-``stack(layers)`` makes one layer of several same-shaped ones: it has
-``members`` and a leading member axis on its arrays, its inputs and its
-outputs (so [members, batch, time, features] for a sequence layer), and
-each member computes exactly what its own layer would. The one forward
-and backward of each class serve both: they index time and features from
-the end, take products per member with ``@``, and never reduce over the
-member axis, so a member's bits do not depend on the others.
+``stack(layers)`` makes one layer of several same-shaped ones: its
+``lead`` is ``(members,)`` where a plain layer's is ``()``, and that axis
+leads its arrays, its inputs and its outputs (so [members, batch, time,
+features] for a sequence layer). Plain and stacked layers run the same
+lines: each forward and backward indexes time and features from the end,
+takes products per member with ``@`` and never reduces over the member
+axis, and a Dropout fills one row of draws per generator. So each member
+computes exactly the bits its own layer would.
 
 Backward passes are written as 2-D matrix products over the flattened
 batch-and-time rows, so BLAS does the reductions. Each pass is
@@ -90,14 +91,14 @@ class Layer:
     ``backward`` reads what ``forward`` cached through ``_cached()`` and
     checks its upstream gradient's shape through ``_upstream()``.
 
-    ``members`` is None for a plain layer and the length of the leading
-    member axis for one made by ``stack``; ``_lead()`` is that axis's shape.
+    ``lead`` is the shape of the leading member axis: ``()`` for a plain
+    layer, ``(members,)`` for one made by ``stack``.
     """
 
     name = "layer"
     _param_names: tuple[str, ...] = ()
     _cache = None
-    members: int | None = None
+    lead: tuple[int, ...] = ()
 
     def _zero_grads(self) -> None:
         for pname in self._param_names:
@@ -121,10 +122,6 @@ class Layer:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _lead(self) -> tuple[int, ...]:
-        """``()``, or ``(members,)`` for a stacked layer."""
-        return () if self.members is None else (self.members,)
-
     def _cached(self):
         """The cache of the last ``forward``."""
         if self._cache is None:
@@ -146,7 +143,7 @@ def _as_batch(x: np.ndarray, layer: Layer,
     layer's member axis, with ``features`` on the last axis when it is
     given."""
     x = np.asarray(x, dtype=np.float64)
-    lead = layer._lead()
+    lead = layer.lead
     if (x.ndim != len(lead) + 3 or x.shape[:len(lead)] != lead
             or (features is not None and x.shape[-1] != features)):
         want = "features" if features is None else f"features={features}"
@@ -206,11 +203,11 @@ class HyperDense(Layer):
         block is the left-multiplication matrix of w[u, s]."""
         m = left_mul_matrix(self.w, self.table)  # [..., u, s, d, q]
         return m.swapaxes(-3, -2).reshape(
-            self._lead() + (4 * self.units, 4 * self.in_h))
+            self.lead + (4 * self.units, 4 * self.in_h))
 
     def forward(self, x, training=False):
         xb = _as_batch(x, self, 4 * self.in_h)
-        lead = self._lead()
+        lead = self.lead
         bsz, t, width = xb.shape[-3:]
         flat = xb.reshape(lead + (bsz * t, width))
         m = self._block_matrix()
@@ -221,22 +218,19 @@ class HyperDense(Layer):
 
     def backward(self, grad_out):
         flat, z, m, bsz, t = self._cached()
-        lead = self._lead()
+        lead = self.lead
         g = self._upstream(grad_out, lead + (bsz, t, 4 * self.units))
         dz = _act_backward(g.reshape(z.shape), z, self.activation)
         self.db[...] = dz.sum(axis=-2).reshape(self.db.shape)
-        # dw[u,s,p] = sum_n dz[n,u,d] x[n,s,q] c[p,q,d]: one GEMM over the
-        # rows gives gux[u,d,s,q] = sum_n dz[n,u,d] x[n,s,q], then the
-        # structure constants contract the 4x4 blocks. Members fold into
-        # the unit axis; einsum sums in another order when that axis has
-        # length 1, so for one unit they fold into the slot axis instead
-        # (a contiguous copy): either way each member gets its own bits.
-        gux = (dz.swapaxes(-1, -2) @ flat).reshape(-1, 4, self.in_h, 4)
-        if self.units == 1:
-            gux = np.ascontiguousarray(np.moveaxis(gux, 0, 1)).reshape(
-                1, 4, -1, 4)
-        self.dw[...] = np.einsum("udsq,pqd->usp", gux,
-                                 self.table).reshape(self.dw.shape)
+        # dw[u,s,p] = sum_{d,q} gux[u,s,d,q] c[p,q,d], where one GEMM over
+        # the rows gives gux[u,d,s,q] = sum_n dz[n,u,d] x[n,s,q]; as rows
+        # (u, s) by columns (d, q), one more product contracts it with the
+        # structure constants as a [(d, q), p] matrix.
+        gux = (dz.swapaxes(-1, -2) @ flat).reshape(
+            lead + (self.units, 4, self.in_h, 4)).swapaxes(-3, -2)
+        self.dw[...] = (gux.reshape(lead + (-1, 16))
+                        @ self.table.transpose(2, 1, 0).reshape(16, 4)
+                        ).reshape(self.dw.shape)
         return (dz @ m).reshape(lead + (bsz, t, 4 * self.in_h))
 
 
@@ -268,7 +262,7 @@ class Dense(Layer):
             raise ShapeError(
                 f"{self.name}: last input dim {x.shape[-1]} != in_features ="
                 f" {self.in_features} (input shape {x.shape})")
-        lead = len(self._lead())
+        lead = len(self.lead)
         z = x @ _lift(self.w, lead, x.ndim) + _lift(self.b, lead, x.ndim)
         self._cache = (x, z)
         return _apply_act(z, self.activation)
@@ -277,7 +271,7 @@ class Dense(Layer):
         x, z = self._cached()
         g = self._upstream(grad_out, z.shape)
         dz = _act_backward(g, z, self.activation)
-        lead = self._lead()
+        lead = self.lead
         xf = x.reshape(lead + (-1, self.in_features))
         dzf = dz.reshape(lead + (-1, self.units))
         self.dw[...] = xf.swapaxes(-1, -2) @ dzf
@@ -317,7 +311,7 @@ class Conv1D(Layer):
 
     def forward(self, x, training=False):
         xb = _as_batch(x, self, self.channels)
-        lead = self._lead()
+        lead = self.lead
         bsz, t, _ = xb.shape[-3:]
         if t < self.kernel_size:
             raise ShapeError(
@@ -341,7 +335,7 @@ class Conv1D(Layer):
         xb, z = self._cached()
         g = self._upstream(grad_out, z.shape)
         dz = _act_backward(g, z, self.activation)
-        lead = self._lead()
+        lead = self.lead
         bsz, t_out, _ = z.shape[-3:]
         dzf = dz.reshape(lead + (bsz * t_out, self.filters))
         self.db[...] = dz.sum(axis=(-3, -2))
@@ -382,7 +376,7 @@ class LSTM(Layer):
 
     def forward(self, x, training=False):
         xb = _as_batch(x, self, self.channels)
-        lead = self._lead()
+        lead = self.lead
         bsz, t, _ = xb.shape[-3:]
         n = self.units
         b = _lift(self.b, len(lead), xb.ndim - 1)
@@ -409,7 +403,7 @@ class LSTM(Layer):
 
     def backward(self, grad_out):
         xb, gates, tanh_c, hs, cells = self._cached()
-        lead = self._lead()
+        lead = self.lead
         bsz, t, _ = xb.shape[-3:]
         n = self.units
         g = self._upstream(grad_out, lead + (bsz, t, n))
@@ -505,11 +499,11 @@ class Flatten(Layer):
     def forward(self, x, training=False):
         x = np.asarray(x, dtype=np.float64)
         self._cache = x.shape
-        return x.reshape(x.shape[:len(self._lead()) + 1] + (-1,))
+        return x.reshape(x.shape[:len(self.lead) + 1] + (-1,))
 
     def backward(self, grad_out):
         shape = self._cached()
-        keep = len(self._lead()) + 1
+        keep = len(self.lead) + 1
         g = self._upstream(grad_out,
                            shape[:keep] + (math.prod(shape[keep:]),))
         return g.reshape(shape)
@@ -519,25 +513,24 @@ class Dropout(Layer):
     """Inverted dropout: zero each element with probability ``rate`` during
     training, scale survivors by 1/(1-rate); identity at inference.
 
-    A stacked Dropout holds one generator per member in ``rng`` and draws
-    each member's mask from its own, at that member's shape."""
+    ``rngs`` holds one generator per member (one for a plain layer); each
+    fills its member's row of the draws in place."""
 
     def __init__(self, rate: float = 0.5, *, rng: np.random.Generator):
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.name = "dropout"
         self.rate = rate
-        self.rng = rng
+        self.rngs = (rng,)
 
     def forward(self, x, training=False):
         x = np.asarray(x, dtype=np.float64)
         if not training or self.rate == 0.0:
             self._cache = (None, x.shape)
             return x
-        if self.members is None:
-            draws = self.rng.random(x.shape)
-        else:
-            draws = np.stack([rng.random(x.shape[1:]) for rng in self.rng])
+        draws = np.empty(self.lead + x.shape[len(self.lead):])
+        for rng, row in zip(self.rngs, draws.reshape(len(self.rngs), -1)):
+            rng.random(out=row)
         mask = (draws >= self.rate) / (1.0 - self.rate)
         self._cache = (mask, x.shape)
         return x * mask
@@ -552,13 +545,13 @@ def stack(layers: list[Layer]) -> Layer:
     """One layer over a leading member axis of ``len(layers)``, member ``i``
     being ``layers[i]``: the layers must share class and settings. Each
     trainable array is the members' arrays stacked (a copy), with zeroed
-    gradients; a Dropout draws from each member's own generator."""
+    gradients; a Dropout joins the members' generators."""
     out = copy.copy(layers[0])
-    out.members = len(layers)
+    out.lead = (len(layers),)
     out._cache = None
     for pname in out._param_names:
         setattr(out, pname, np.stack([getattr(lyr, pname) for lyr in layers]))
     out._zero_grads()
     if isinstance(out, Dropout):
-        out.rng = [lyr.rng for lyr in layers]
+        out.rngs = sum((lyr.rngs for lyr in layers), ())
     return out

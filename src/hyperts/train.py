@@ -123,7 +123,7 @@ def fit(model: Model, x: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     if len(y) != len(x):
         raise ShapeError(f"fit: {len(x)} inputs but {len(y)} targets")
-    lead = model.layers[0]._lead()
+    lead = model.layers[0].lead
     if np.shape(config.seed) != lead:
         raise ValueError(f"fit: a model of member shape {lead} needs shuffle"
                          f" seeds of that shape, got {config.seed!r}")

@@ -54,8 +54,19 @@ class TestIngest:
         (["A"], "not a JSON object"),
         ({"tickers": ["A"], "order": ["A"]}, "tickers: not a JSON object"),
         ({"tickers": {"A": "a.csv"}, "order": "A"},
-         "order is not a JSON list"),
-    ], ids=["no-tickers", "array", "tickers-array", "order-string"])
+         "order is not a JSON list of names"),
+        ({"tickers": {"A": "a.csv"}, "order": [["A"]]},
+         "order is not a JSON list of names"),
+        ({"tickers": {"A": "a.csv"}, "order": []}, "order names no tickers"),
+        ({"tickers": {"A": "a.csv"}, "order": ["A", "B"]},
+         "order lists unknown tickers ['B']"),
+        ({"tickers": {"A": "a.csv"}, "order": ["A"], "target": "B"},
+         "target 'B' not in order ['A']"),
+        ({"tickers": {"A": "a.csv", "B": "b.csv"}, "order": ["A", "A", "B"]},
+         "order ['A', 'A', 'B'] names a ticker twice"),
+    ], ids=["no-tickers", "array", "tickers-array", "order-string",
+            "order-nested", "order-empty", "unknown-ticker", "unknown-target",
+            "order-repeats"])
     def test_malformed_manifest_names_it(self, tmp_path, doc, error, capsys):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps(doc))
@@ -121,6 +132,43 @@ class TestCorrelate:
         path.write_text(json.dumps(doc))
         assert run(["correlate", "--data", ingested]) == 1
         assert f"error: {path}: {error}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault,error", [
+        (lambda d: d.update(dates=d["dates"][:-1] + ["2020-13-01"]),
+         "dates is not a list of ISO dates"),
+        (lambda d: d.update(dates=d["dates"][:-1] + [20200101]),
+         "dates is not a list of ISO dates"),
+        (lambda d: d.update(dates=d["dates"][:-1]),
+         "values is not a [dates, order] = (119, 4) table of numbers"),
+        (lambda d: d.update(values=[row[:3] for row in d["values"]]),
+         "values is not a [dates, order] = (120, 4) table of numbers"),
+        (lambda d: d.update(values=d["values"][:-1] + [[0.0]]),
+         "values is not a [dates, order] = (120, 4) table of numbers"),
+        (lambda d: d.update(order=["T0", "T0", "T2", "T3"]),
+         "order ['T0', 'T0', 'T2', 'T3'] names a column twice"),
+        (lambda d: d.update(order=[["T0"], "T1", "T2", "T3"]),
+         "order is not a JSON list of names"),
+        (lambda d: d.update(target="Z"),
+         "target 'Z' is not in order ['T0', 'T1', 'T2', 'T3']"),
+        (lambda d: d["scaler"].update(order=["T1", "T0", "T2", "T3"]),
+         "scaler.order ['T1', 'T0', 'T2', 'T3'] is not the order"),
+        (lambda d: d["scaler"].update(mean=d["scaler"]["mean"][:3]),
+         "scaler.mean does not hold one number per column"),
+        (lambda d: d["scaler"].update(std=d["scaler"]["std"] + [1.0]),
+         "scaler.std does not hold one number per column"),
+    ], ids=["date-invalid", "date-number", "dates-short", "values-narrow",
+            "values-ragged", "order-repeats", "order-nested",
+            "target-unknown", "scaler-order", "scaler-mean-short",
+            "scaler-std-long"])
+    def test_inconsistent_dataset_names_file_and_field(self, ingested, fault,
+                                                       error, capsys):
+        path = ingested / "dataset.json"
+        doc = json.loads(path.read_text())
+        fault(doc)
+        path.write_text(json.dumps(doc))
+        assert run(["correlate", "--data", ingested]) == 1
+        assert f"error: {path}: {error}" in capsys.readouterr().err
+        assert not (ingested / "correlations").exists()
 
     def test_unparseable_dataset_names_it(self, ingested, capsys):
         path = ingested / "dataset.json"
@@ -203,6 +251,20 @@ class TestSearch:
         cell = json.loads((out / "cell.json").read_text())
         assert cell["label"] == "HR"
         assert cell["order"] == ["T1", "T2", "T3", "T0"]
+
+    @pytest.mark.parametrize("order,label", [
+        ("T1,T0,T3,T2", "H_1-0-3-2"),
+        ("T3,T2,T1,T0", "H_3-2-1-0"),
+        ("T0,T1,T3,T2", "H_0-1-3-2"),
+    ])
+    def test_other_orders_labeled_by_their_positions(self, ingested, tmp_path,
+                                                     order, label):
+        out = tmp_path / "cell"
+        assert run(["search", "--class", "h", "--data", ingested,
+                    "--out", out, "--order", order] + SMOKE) == 0
+        cell = json.loads((out / "cell.json").read_text())
+        assert cell["label"] == label
+        assert cell["order"] == order.split(",")
 
     def test_cnn_label(self, ingested, tmp_path):
         out = tmp_path / "cell"

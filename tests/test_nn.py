@@ -97,6 +97,21 @@ class TestHyperDense:
         lyr.table = table
         check_layer_gradients(lyr, rng.normal(size=(2, 3, 8)), rng)
 
+    @pytest.mark.parametrize("units", [1, 2, 3, 8, 32])
+    @pytest.mark.parametrize("kind", list(AlgebraKind))
+    def test_weight_gradient_bits_match_einsum(self, kind, units, rng):
+        # at in_h = 1, the only width a built model uses, the product with
+        # the structure constants must give the einsum contraction's bits,
+        # so that artifacts stay byte-identical
+        lyr = HyperDense(1, units, kind, rng=rng)
+        x = rng.normal(size=(5, 6, 4))
+        g = rng.normal(size=lyr.forward(x).shape)
+        lyr.backward(g)
+        gux = (g.reshape(-1, 4 * units).T @ x.reshape(-1, 4)).reshape(
+            units, 4, 1, 4)
+        want = np.einsum("udsq,pqd->usp", gux, lyr.table)
+        assert np.array_equal(lyr.dw.view(np.int64), want.view(np.int64))
+
     def test_param_count(self, rng):
         lyr = HyperDense(3, 5, AlgebraKind.QUATERNION, rng=rng)
         assert lyr.param_count() == 4 * 5 * 3 + 4 * 5
@@ -558,7 +573,7 @@ class TestStackedLayers:
     @pytest.mark.parametrize("name", list(STACKABLE))
     def test_each_member_computes_its_own_bits(self, name, training, rng):
         stacked = stack(fresh(name))
-        assert stacked.members == len(MEMBER_SEEDS)
+        assert stacked.lead == (len(MEMBER_SEEDS),)
         x = member_input(name, rng)
         y = stacked.forward(x, training=training)
         g = rng.normal(size=y.shape)
@@ -573,6 +588,15 @@ class TestStackedLayers:
     def test_gradients(self, name, rng):
         stacked = stack(fresh(name)[:2])
         check_layer_gradients(stacked, member_input(name, rng)[:2], rng)
+
+    def test_one_member_dropout_draws_as_the_plain_layer(self, rng):
+        x = rng.normal(size=(5, 6, 4))
+        plain = Dropout(0.5, rng=np.random.default_rng(9))
+        stacked = stack([Dropout(0.5, rng=np.random.default_rng(9))])
+        assert stacked.lead == (1,)
+        for _ in range(2):
+            assert same_bits(stacked.forward(x[None], training=True)[0],
+                             plain.forward(x, training=True))
 
     def test_rejects_input_without_the_member_axis(self, rng):
         stacked = stack(fresh("LSTM"))
