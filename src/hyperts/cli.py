@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import pathlib
@@ -22,10 +23,10 @@ import numpy as np
 from . import __version__
 from .analysis import all_pair_lag_curves, correlation_matrix, \
     write_lag_csv, write_matrix_csv
-from .data import SeriesTable, Scaler, align, is_name_list, load_csv, \
+from .data import SeriesTable, Scaler, align, check_order, load_csv, \
     load_manifest, make_windows, split, standardize
 from .model import read_json, require_keys, spec_key, write_csv, write_json
-from .report import build_report, write_report_csv, write_report_json
+from .report import build_report, write_report_csv
 from .search import CELL_FILE, Grid, enumerate_specs, run_search
 from .train import TrainConfig
 
@@ -64,7 +65,8 @@ def save_dataset(out_dir, table: SeriesTable, scaler: Scaler, target: str,
         "target": target,
         "dates": [d.isoformat() for d in table.dates],
         "values": table.values.tolist(),
-        "scaler": scaler.to_json_dict(),
+        "scaler": {"order": scaler.order, "mean": scaler.mean.tolist(),
+                   "std": scaler.std.tolist()},
     }
     with open(out / DATASET_FILE, "w") as fh:
         fh.write(json.dumps(doc, sort_keys=True) + "\n")
@@ -73,47 +75,50 @@ def save_dataset(out_dir, table: SeriesTable, scaler: Scaler, target: str,
                  for day, row in zip(table.dates, table.values.tolist())])
 
 
+def _numbers(path, field, value, shape, what) -> np.ndarray:
+    """The JSON table ``value`` as a float64 array of ``shape``; otherwise
+    raises ``ValueError(f"{path}: {field} {what}")``."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged table: no number array at all
+        array = np.asarray(None)
+    if array.dtype.kind not in "iuf" or array.shape != shape:
+        raise ValueError(f"{path}: {field} {what}")
+    return array.astype(np.float64, copy=False)
+
+
 def load_dataset(data_dir) -> tuple[SeriesTable, Scaler, str]:
-    """The table, scaler and target saved by ``save_dataset``; raises
-    ``ValueError`` naming the file and the field if ``order`` is not a
-    list of distinct names, ``target`` is not in it, ``dates`` are not ISO
-    dates, ``values`` is not [dates, order], or the scaler's ``order``,
-    ``mean`` or ``std`` does not match ``order``."""
+    """The table, scaler and target saved by ``save_dataset``: the one
+    reader of ``dataset.json``. Raises ``ValueError`` naming the file and
+    the field if a field is missing, ``order`` and ``target`` break
+    ``data.check_order``'s rule, ``dates`` are not increasing ISO dates,
+    ``values`` is not a [dates, order] table of numbers, or the scaler's
+    ``order``, ``mean`` or ``std`` does not match ``order``."""
     import datetime
     path = pathlib.Path(data_dir) / DATASET_FILE
     doc = read_json(path, ("dates", "order", "values", "scaler", "target"))
-    require_keys(doc["scaler"], ("order", "mean", "std"), f"{path}: scaler")
+    stats = doc["scaler"]
+    require_keys(stats, ("order", "mean", "std"), f"{path}: scaler")
     order = doc["order"]
-    if not is_name_list(order):
-        raise ValueError(f"{path}: order is not a JSON list of names")
-    if len(set(order)) != len(order):
-        raise ValueError(f"{path}: order {order} names a column twice")
-    if doc["target"] not in order:
-        raise ValueError(f"{path}: target {doc['target']!r} is not in order"
-                         f" {order}")
+    check_order(order, doc["target"], path)
     try:
         dates = [datetime.date.fromisoformat(d) for d in doc["dates"]]
     except (TypeError, ValueError):
-        raise ValueError(f"{path}: dates is not a list of ISO dates") \
-            from None
-    try:
-        values = np.asarray(doc["values"], dtype=np.float64)
-    except (TypeError, ValueError):
-        values = None
+        dates = None
+    if dates is None or dates != sorted(set(dates)):
+        raise ValueError(f"{path}: dates is not a list of ISO dates in"
+                         f" increasing order")
     want = (len(dates), len(order))
-    if values is None or values.shape != want:
-        raise ValueError(f"{path}: values is not a [dates, order] = {want}"
-                         f" table of numbers")
-    scaler = Scaler.from_json_dict(doc["scaler"])
-    if scaler.order != order:
-        raise ValueError(f"{path}: scaler.order {scaler.order} is not the"
+    values = _numbers(path, "values", doc["values"], want,
+                      f"is not a [dates, order] = {want} table of numbers")
+    if stats["order"] != order:
+        raise ValueError(f"{path}: scaler.order {stats['order']} is not the"
                          f" order {order}")
-    for field in ("mean", "std"):
-        if getattr(scaler, field).shape != (len(order),):
-            raise ValueError(f"{path}: scaler.{field} does not hold one"
-                             f" number per column of order {order}")
-    return (SeriesTable(dates=dates, order=order, values=values), scaler,
-            doc["target"])
+    per_column = f"does not hold one number per column of order {order}"
+    mean, std = (_numbers(path, f"scaler.{key}", stats[key], (len(order),),
+                          per_column) for key in ("mean", "std"))
+    return (SeriesTable(dates=dates, order=order, values=values),
+            Scaler(order=stats["order"], mean=mean, std=std), doc["target"])
 
 
 def cmd_ingest(args) -> int:
@@ -171,8 +176,13 @@ def _class_label(kind: str, order: list[str], default_order: list[str]) -> str:
                                  for name in order)
 
 
+def int_list(text: str) -> tuple[int, ...]:
+    """One or more comma-separated integers, such as ``10,20``."""
+    return tuple(int(item) for item in text.split(","))
+
+
 def _restrict(values, wanted):
-    if not wanted:
+    if wanted is None:
         return values
     keep = [v for v in values if v in wanted]
     if not keep:
@@ -203,18 +213,12 @@ def cmd_search(args) -> int:
              "lr": args.lr}
     config = TrainConfig(**train)
     algebras = None if args.algebra in (None, "all") else [args.algebra]
-    sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes \
-        else ()
-    dense_units = tuple(int(s) for s in args.dense_units.split(",")) \
-        if args.dense_units else ()
 
     table, scaler, target = load_dataset(args.data)
     default_order = table.order
     if args.all:
-        windows = [int(w) for w in args.windows.split(",")] if args.windows \
-            else DEFAULT_WINDOWS
-        spans = [int(s) for s in args.spans.split(",")] if args.spans \
-            else DEFAULT_SPANS
+        windows = DEFAULT_WINDOWS if args.windows is None else args.windows
+        spans = DEFAULT_SPANS if args.spans is None else args.spans
         rotated = _rotated(default_order)
         cells = [(k, w, s, o)
                  for w in windows for s in spans
@@ -222,25 +226,34 @@ def cmd_search(args) -> int:
                               ("hyper", default_order), ("hyper", rotated)]]
     else:
         kind = {"cnn": "cnn", "lstm": "lstm", "h": "hyper"}[args.klass]
-        order = args.order.split(",") if args.order else default_order
+        order = default_order if args.order is None else args.order
         window = DEFAULT_WINDOW if args.window is None else args.window
         span = DEFAULT_SPAN if args.span is None else args.span
         cells = [(kind, window, span, order)]
 
+    @functools.lru_cache(maxsize=1)  # CNN, LSTM and H cells share windows
+    def cut(window, span, order):
+        dataset = make_windows(table, target, window, span, list(order), scaler)
+        return dataset, split(dataset, cv_fraction=0.8)
+
+    def prepare(kind, window, span, order):
+        dataset, plan = cut(window, span, tuple(order))
+        grid = Grid.default(kind, algebras=algebras)
+        grid = dataclasses.replace(
+            grid, sizes=_restrict(grid.sizes, args.sizes),
+            dense_units=_restrict(grid.dense_units, args.dense_units))
+        specs = enumerate_specs(grid, window, span, args.seed,
+                                limit=args.max_configs)
+        return dataset, plan, grid, specs
+
+    for cell in cells:  # every cell is checked before a search writes
+        prepare(*cell)
     for kind, window, span, order in cells:
-        dataset = make_windows(table, target, window, span, order=order,
-                               scaler=scaler)
+        dataset, plan, grid, specs = prepare(kind, window, span, order)
         label = _class_label(kind, order, default_order)
         out = pathlib.Path(args.out)
         if args.all:
             out = out / f"{label}_w{window}_s{span}"
-        plan = split(dataset, cv_fraction=0.8)
-        grid = Grid.default(kind, algebras=algebras)
-        grid = dataclasses.replace(
-            grid, sizes=_restrict(grid.sizes, sizes),
-            dense_units=_restrict(grid.dense_units, dense_units))
-        specs = enumerate_specs(grid, window, span, args.seed,
-                                limit=args.max_configs)
 
         result = run_search(specs, dataset, plan, out, config=config,
                             base_seed=args.seed, workers=args.workers)
@@ -267,7 +280,7 @@ def cmd_report(args) -> int:
     out = pathlib.Path(args.out)
     base = out.with_suffix("") if out.suffix in (".csv", ".json") else out
     write_report_csv(report, base.with_suffix(".csv"), _meta_lines(meta))
-    write_report_json(report, base.with_suffix(".json"), meta)
+    write_json(base.with_suffix(".json"), dict(report, meta=meta))
     print(f"wrote {base.with_suffix('.csv')} and {base.with_suffix('.json')}"
           f" ({len(report['cells'])} cells)")
     return 0
@@ -301,8 +314,8 @@ def make_parser() -> argparse.ArgumentParser:
                    help=f"window of a one-cell search (default {DEFAULT_WINDOW})")
     p.add_argument("--span", type=int, default=None,
                    help=f"span of a one-cell search (default {DEFAULT_SPAN})")
-    p.add_argument("--order", default=None,
-                   help="comma-separated ticker permutation")
+    p.add_argument("--order", type=lambda text: text.split(","),
+                   default=None, help="comma-separated ticker permutation")
     p.add_argument("--algebra", default=None,
                    choices=["quaternion", "coquaternion", "cl11", "all"],
                    help="algebra of the hyper cells (default all)")
@@ -311,19 +324,19 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--sizes", default=None,
+    p.add_argument("--sizes", type=int_list, default=None,
                    help="restrict the test-layer size axis, e.g. 8,16")
-    p.add_argument("--dense-units", default=None,
-                   help="restrict the dense-units axis")
+    p.add_argument("--dense-units", type=int_list, default=None,
+                   help="restrict the dense-units axis, e.g. 8,16")
     p.add_argument("--max-configs", type=int, default=None)
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes per cell (default 1)")
     p.add_argument("--all", action="store_true",
                    help="loop every window/span/class cell sequentially")
-    p.add_argument("--windows", default=None,
+    p.add_argument("--windows", type=int_list, default=None,
                    help="window list for --all, e.g. 10,20 (default"
                         " 10,20,40,60)")
-    p.add_argument("--spans", default=None,
+    p.add_argument("--spans", type=int_list, default=None,
                    help="span list for --all, e.g. 1,5 (default 1,5,10,20)")
     p.set_defaults(func=cmd_search)
 

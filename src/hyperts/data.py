@@ -52,16 +52,6 @@ class Scaler:
     def inverse(self, values: np.ndarray) -> np.ndarray:
         return values * self.std + self.mean
 
-    def to_json_dict(self) -> dict:
-        return {"order": self.order, "mean": self.mean.tolist(),
-                "std": self.std.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Scaler":
-        return cls(order=list(doc["order"]),
-                   mean=np.asarray(doc["mean"], dtype=np.float64),
-                   std=np.asarray(doc["std"], dtype=np.float64))
-
 
 @dataclasses.dataclass
 class WindowedDataset:
@@ -161,6 +151,8 @@ def make_windows(table: SeriesTable, target: str, window: int, span: int,
     X[i] covers rows t..t+window-1 in the given channel order; Y[i] is the
     target column at rows t+window..t+window+span-1 (no overlap, no gap).
     """
+    if window < 1 or span < 1:
+        raise ValueError(f"window {window} and span {span} must be >= 1")
     order = list(order) if order is not None else list(table.order)
     if sorted(order) != sorted(table.order):
         raise ValueError(
@@ -203,29 +195,35 @@ def split(dataset: WindowedDataset, cv_fraction: float = 0.8,
                      folds=np.array_split(cv_idx, folds))
 
 
-def is_name_list(doc) -> bool:
-    """Whether the JSON value ``doc`` is a list of strings."""
-    return isinstance(doc, list) and all(isinstance(n, str) for n in doc)
+def check_order(order, target, where) -> None:
+    """Raise ``ValueError`` naming ``where`` unless the JSON value ``order``
+    is a non-empty list of distinct names that holds ``target``."""
+    if not isinstance(order, list) or \
+            not all(isinstance(name, str) for name in order):
+        raise ValueError(f"{where}: order is not a JSON list of names")
+    if not order:
+        raise ValueError(f"{where}: order names no columns")
+    if len(set(order)) != len(order):
+        raise ValueError(f"{where}: order {order} names a column twice")
+    if target not in order:
+        raise ValueError(f"{where}: target {target!r} is not in order {order}")
 
 
 def load_manifest(path) -> tuple[dict[str, str], list[str], str]:
     """Read a dataset manifest: ticker name -> csv path, channel order, and
-    target ticker (defaults to the first in order). The order must name at
-    least one ticker, and each at most once."""
+    target ticker (defaults to the first in order); raises ``ValueError``
+    naming the manifest unless ``order`` keeps ``check_order``'s rule and
+    ``tickers`` maps each name in it to a path string."""
     doc = read_json(path, ("tickers", "order"))
     require_keys(doc["tickers"], (), f"{path}: tickers")
-    if not is_name_list(doc["order"]):
-        raise ValueError(f"{path}: order is not a JSON list of names")
-    tickers = dict(doc["tickers"])
-    order = list(doc["order"])
-    if not order:
-        raise ValueError(f"{path}: order names no tickers")
-    if len(set(order)) != len(order):
-        raise ValueError(f"{path}: order {order} names a ticker twice")
-    target = doc.get("target", order[0])
-    missing = [t for t in order if t not in tickers]
+    order = doc["order"]
+    first = order[0] if isinstance(order, list) and order else None
+    target = doc.get("target", first)
+    check_order(order, target, path)
+    missing = [t for t in order if t not in doc["tickers"]]
     if missing:
         raise ValueError(f"{path}: order lists unknown tickers {missing}")
-    if target not in order:
-        raise ValueError(f"{path}: target {target!r} not in order {order}")
-    return tickers, order, target
+    pathless = [t for t in order if not isinstance(doc["tickers"][t], str)]
+    if pathless:
+        raise ValueError(f"{path}: tickers {pathless} have no path string")
+    return dict(doc["tickers"]), order, target

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pathlib
 
-from .model import read_json, write_csv, write_json
+from .model import read_json, write_csv
 from .search import BEST_FILE, CELL_FILE
 
 CANONICAL_LABELS = ["CNN", "LSTM", "H", "HR"]
@@ -88,7 +88,3 @@ def write_report_csv(report: dict, path,
                         str(info["param_count"])]
         rows.append(row + [cell["min_params_label"]])
     write_csv(path, header_lines, rows)
-
-
-def write_report_json(report: dict, path, meta: dict | None = None) -> None:
-    write_json(path, dict(report, meta=meta) if meta else report)

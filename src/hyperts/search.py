@@ -92,33 +92,25 @@ class Grid:
 
 def enumerate_specs(grid: Grid, window: int, span: int, seed: int,
                     limit: int | None = None) -> list[ModelSpec]:
-    """Lexicographic Cartesian product, deduplicated.
+    """Lexicographic Cartesian product without its inert combinations.
 
     When both optional dense layers are absent the (dense_units, activation)
-    axes are inert: those combinations collapse to one canonical spec with
-    the grid's first dense_units and activation values. With ``limit`` the
-    enumeration stops at that many specs, so it returns the first ``limit``
-    specs of the whole enumeration; a limit below 1 raises ``ValueError``.
+    axes are inert: only the grid's first dense_units and activation values
+    are kept there. With ``limit`` the enumeration stops at that many specs,
+    so it returns the first ``limit`` specs of the whole enumeration; a
+    limit below 1 raises ``ValueError``.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"enumerate_specs: limit must be >= 1, got {limit}")
-    specs: list[ModelSpec] = []
-    seen: set[str] = set()
-    for size, algebra, nd1, nd2, units, act in itertools.product(
-            *grid.axes()):
-        if nd1 == 0 and nd2 == 0:
-            units, act = grid.dense_units[0], grid.activations[0]
-        spec = ModelSpec(kind=grid.kind, size=size, algebra=algebra,
-                         n_dense1=nd1, n_dense2=nd2, dense_units=units,
-                         dense_activation=act, window=window, span=span,
-                         seed=seed)
-        key = spec.canonical()
-        if key not in seen:
-            seen.add(key)
-            specs.append(spec)
-            if len(specs) == limit:
-                break
-    return specs
+    inert = (grid.dense_units[0], grid.activations[0])
+    specs = (ModelSpec(kind=grid.kind, size=size, algebra=algebra,
+                       n_dense1=nd1, n_dense2=nd2, dense_units=units,
+                       dense_activation=act, window=window, span=span,
+                       seed=seed)
+             for size, algebra, nd1, nd2, units, act in itertools.product(
+                 *grid.axes())
+             if nd1 or nd2 or (units, act) == inert)
+    return list(itertools.islice(specs, limit))
 
 
 def fold_seeds(base_seed: int, spec: ModelSpec, fold: int) -> tuple[int, int]:

@@ -57,16 +57,22 @@ class TestIngest:
          "order is not a JSON list of names"),
         ({"tickers": {"A": "a.csv"}, "order": [["A"]]},
          "order is not a JSON list of names"),
-        ({"tickers": {"A": "a.csv"}, "order": []}, "order names no tickers"),
+        ({"tickers": {"A": "a.csv"}, "order": []}, "order names no columns"),
+        ({"tickers": {"T0": "a.csv"}, "order": {"T0": 1}},
+         "order is not a JSON list of names"),
         ({"tickers": {"A": "a.csv"}, "order": ["A", "B"]},
          "order lists unknown tickers ['B']"),
+        ({"tickers": {"A": "a.csv", "B": None}, "order": ["A", "B"]},
+         "tickers ['B'] have no path string"),
+        ({"tickers": {"A": ["a.csv"]}, "order": ["A"]},
+         "tickers ['A'] have no path string"),
         ({"tickers": {"A": "a.csv"}, "order": ["A"], "target": "B"},
-         "target 'B' not in order ['A']"),
+         "target 'B' is not in order ['A']"),
         ({"tickers": {"A": "a.csv", "B": "b.csv"}, "order": ["A", "A", "B"]},
-         "order ['A', 'A', 'B'] names a ticker twice"),
+         "order ['A', 'A', 'B'] names a column twice"),
     ], ids=["no-tickers", "array", "tickers-array", "order-string",
-            "order-nested", "order-empty", "unknown-ticker", "unknown-target",
-            "order-repeats"])
+            "order-nested", "order-empty", "order-object", "unknown-ticker",
+            "path-null", "path-list", "unknown-target", "order-repeats"])
     def test_malformed_manifest_names_it(self, tmp_path, doc, error, capsys):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps(doc))
@@ -138,6 +144,10 @@ class TestCorrelate:
          "dates is not a list of ISO dates"),
         (lambda d: d.update(dates=d["dates"][:-1] + [20200101]),
          "dates is not a list of ISO dates"),
+        (lambda d: d.update(dates=d["dates"][::-1]),
+         "dates is not a list of ISO dates in increasing order"),
+        (lambda d: d.update(dates=d["dates"][:1] + d["dates"][:-1]),
+         "dates is not a list of ISO dates in increasing order"),
         (lambda d: d.update(dates=d["dates"][:-1]),
          "values is not a [dates, order] = (119, 4) table of numbers"),
         (lambda d: d.update(values=[row[:3] for row in d["values"]]),
@@ -156,10 +166,18 @@ class TestCorrelate:
          "scaler.mean does not hold one number per column"),
         (lambda d: d["scaler"].update(std=d["scaler"]["std"] + [1.0]),
          "scaler.std does not hold one number per column"),
-    ], ids=["date-invalid", "date-number", "dates-short", "values-narrow",
+        (lambda d: d["scaler"]["mean"].__setitem__(0, "x"),
+         "scaler.mean does not hold one number per column"),
+        (lambda d: d["scaler"]["std"].__setitem__(2, None),
+         "scaler.std does not hold one number per column"),
+        (lambda d: d["values"][5].__setitem__(1, "1.5"),
+         "values is not a [dates, order] = (120, 4) table of numbers"),
+    ], ids=["date-invalid", "date-number", "dates-reversed",
+            "dates-repeated", "dates-short", "values-narrow",
             "values-ragged", "order-repeats", "order-nested",
             "target-unknown", "scaler-order", "scaler-mean-short",
-            "scaler-std-long"])
+            "scaler-std-long", "scaler-mean-string", "scaler-std-null",
+            "values-string"])
     def test_inconsistent_dataset_names_file_and_field(self, ingested, fault,
                                                        error, capsys):
         path = ingested / "dataset.json"
@@ -373,6 +391,70 @@ class TestSearch:
         assert run(["search", "--class", "h", "--data", ingested,
                     "--out", out, "--epochs", 0, "--max-configs", 1]) == 1
         assert "epochs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--sizes", "--dense-units",
+                                      "--windows", "--spans"])
+    @pytest.mark.parametrize("value", ["", "abc", "8,", "8,,16"],
+                             ids=["empty", "word", "last-empty",
+                                  "inner-empty"])
+    def test_list_flag_that_is_not_integers_exits_2_naming_it(
+            self, ingested, tmp_path, flag, value, capsys):
+        out = tmp_path / "matrix"
+        with pytest.raises(SystemExit) as exc:
+            run(["search", "--all", "--data", ingested, "--out", out,
+                 "--windows", "10", "--spans", "1", "--epochs", 1,
+                 "--max-configs", 1, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid int_list value: {value!r}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("order", ["", "T0,T1,T2", "T0,T1,T2,T3,"],
+                             ids=["empty", "short", "last-empty"])
+    def test_order_that_is_not_a_permutation_exits_1(
+            self, ingested, tmp_path, order, capsys):
+        out = tmp_path / "cell"
+        assert run(["search", "--class", "h", "--data", ingested,
+                    "--out", out, "--order", order] + SMOKE) == 1
+        assert f"order {order.split(',')} is not a permutation" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("windows,error", [
+        ("10,200", "series length 120 < window + span = 201"),
+        ("10,3", "window 3 too small for cnn stack: minimum is 4"),
+    ], ids=["too-long", "too-small"])
+    def test_all_checks_every_cell_before_the_first_search(
+            self, ingested, tmp_path, windows, error, capsys):
+        out = tmp_path / "matrix"
+        assert run(["search", "--all", "--data", ingested, "--out", out,
+                    "--windows", windows, "--spans", "1", "--epochs", 1,
+                    "--max-configs", 1]) == 1
+        assert error in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_all_checks_the_restriction_of_every_class_first(
+            self, ingested, tmp_path, capsys):
+        out = tmp_path / "matrix"
+        # 128 is a CNN and LSTM size but not a hypercomplex one
+        assert run(["search", "--all", "--data", ingested, "--out", out,
+                    "--windows", "10", "--spans", "1", "--sizes", "128",
+                    "--epochs", 1, "--max-configs", 1]) == 1
+        assert "restriction (128,) leaves no values" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--window", -5), ("--window", 0), ("--span", -1), ("--span", 0)])
+    def test_window_or_span_below_one_exits_1_naming_it(
+            self, ingested, tmp_path, flag, value, capsys):
+        out = tmp_path / "cell"
+        assert run(["search", "--class", "h", "--data", ingested,
+                    "--out", out, flag, value] + SMOKE) == 1
+        window, span = (value, 1) if flag == "--window" else (10, value)
+        assert f"window {window} and span {span} must be >= 1" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_too_small_window_exits_1_before_writing(self, ingested,

@@ -185,6 +185,14 @@ class TestMakeWindows:
         with pytest.raises(ValueError, match="window \\+ span"):
             make_windows(table, "C0", window=4, span=2)
 
+    @pytest.mark.parametrize("window,span", [(0, 1), (-5, 1), (4, 0),
+                                             (4, -1)])
+    def test_window_or_span_below_one_rejected(self, window, span):
+        table = tiny_table(np.zeros((10, 4)) + np.arange(10)[:, None])
+        with pytest.raises(ValueError, match=rf"^window {window} and span"
+                                             rf" {span} must be >= 1$"):
+            make_windows(table, "C0", window=window, span=span)
+
     def test_permuted_order_permutes_channels_only(self, rng):
         table = tiny_table(rng.normal(size=(20, 4)))
         base = make_windows(table, "C1", window=4, span=2)
