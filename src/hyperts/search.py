@@ -260,13 +260,14 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
 
     ``workers`` processes score configs in parallel, each task carrying its
     spec, dataset, plan, config and seed; ``None`` means 1, and a count
-    below 1 raises ``ValueError``, as does an empty ``specs``. Specs already
-    in the ledger (keyed by ``spec_key``) are skipped on resume; a ledger
-    line torn by a kill mid-write is cut off and its spec scored again,
-    while a complete line that does not parse raises. A record stamped by
-    another run (other training settings, base seed, split or data, see
-    ``_run_stamp``), or not stamped, raises ``ValueError`` naming the
-    ledger before any file is written. After scoring, the
+    below 1 raises ``ValueError``, as do a negative ``base_seed`` and an
+    empty ``specs``. Specs already in the ledger (keyed by ``spec_key``)
+    are skipped on resume; a ledger line torn by a kill mid-write is cut
+    off and its spec scored again, while a complete line that does not
+    parse raises. A record stamped by another run (other training
+    settings, base seed, split or data, see ``_run_stamp``), or not
+    stamped, raises ``ValueError`` naming the ledger before any file is
+    written. After scoring, the
     best spec is retrained on the full CV block and scored on the holdout
     block; its weights are saved alongside the ledgers, and
     ``BEST_STAMP_FILE``, written last, records the run stamp and a digest
@@ -277,6 +278,8 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
     workers = 1 if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be >= 0, got {base_seed}")
     if not specs:
         raise ValueError("run_search: no configurations to search")
     out = pathlib.Path(out_dir)

@@ -172,12 +172,26 @@ class TestCorrelate:
          "scaler.std does not hold one number per column"),
         (lambda d: d["values"][5].__setitem__(1, "1.5"),
          "values is not a [dates, order] = (120, 4) table of numbers"),
+        (lambda d: d["values"][5].__setitem__(1, float("nan")),
+         "values holds a non-finite number"),
+        (lambda d: d["values"][7].__setitem__(3, float("inf")),
+         "values holds a non-finite number"),
+        (lambda d: d["scaler"]["mean"].__setitem__(1, float("nan")),
+         "scaler.mean holds a non-finite number"),
+        (lambda d: d["scaler"]["std"].__setitem__(0, float("-inf")),
+         "scaler.std holds a non-finite number"),
+        (lambda d: d["scaler"]["std"].__setitem__(2, 0),
+         "scaler.std holds a number <= 0"),
+        (lambda d: d["scaler"]["std"].__setitem__(3, -1.0),
+         "scaler.std holds a number <= 0"),
     ], ids=["date-invalid", "date-number", "dates-reversed",
             "dates-repeated", "dates-short", "values-narrow",
             "values-ragged", "order-repeats", "order-nested",
             "target-unknown", "scaler-order", "scaler-mean-short",
             "scaler-std-long", "scaler-mean-string", "scaler-std-null",
-            "values-string"])
+            "values-string", "values-nan", "values-infinity",
+            "scaler-mean-nan", "scaler-std-infinity", "scaler-std-zero",
+            "scaler-std-negative"])
     def test_inconsistent_dataset_names_file_and_field(self, ingested, fault,
                                                        error, capsys):
         path = ingested / "dataset.json"
@@ -354,6 +368,15 @@ class TestSearch:
         assert run(["search", "--class", "h", "--data", ingested,
                     "--out", out, "--workers", workers] + SMOKE) == 1
         assert "workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, -5])
+    def test_negative_seed_exits_1_before_writing(self, ingested, tmp_path,
+                                                  seed, capsys):
+        out = tmp_path / "cell"
+        assert run(["search", "--class", "h", "--data", ingested,
+                    "--out", out] + SMOKE + ["--seed", seed]) == 1
+        assert f"seed must be >= 0, got {seed}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("klass", ["cnn", "lstm"])

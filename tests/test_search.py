@@ -432,6 +432,17 @@ class TestRunSearch:
             run_search([], ds, plan, out, config=FAST)
         assert not out.exists()
 
+    @pytest.mark.parametrize("base_seed", [-1, -7])
+    def test_negative_base_seed_rejected_before_writing(self, base_seed,
+                                                        tmp_path):
+        ds, plan = small_dataset()
+        out = tmp_path / "cell"
+        with pytest.raises(ValueError,
+                           match=f"base_seed must be >= 0, got {base_seed}"):
+            run_search([hyper_spec()], ds, plan, out, config=FAST,
+                       base_seed=base_seed)
+        assert not out.exists()
+
     def test_tie_break_prefers_fewer_params(self):
         records = [
             {"spec": {"test_layer": "cnn:16", "n_dense1": 0}, "mean_mae": 0.5,
