@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime
+import hashlib
 import logging
 import math
 
@@ -53,17 +54,45 @@ class Scaler:
         return values * self.std + self.mean
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class WindowedDataset:
     """Supervised pairs: X[i] holds ``window`` rows of all channels starting
-    at origin t; Y[i] holds the next ``span`` values of the target column."""
+    at origin t; Y[i] holds the next ``span`` values of the target column.
+
+    The dataset owns read-only C-contiguous float64 copies of ``x`` and
+    ``y``, so its data cannot change after construction and ``digest``
+    hashes it at most once per header. ``dataclasses.replace`` and
+    unpickling (as a worker process does) go through the constructor, so
+    each copy is read-only too and starts with an empty memo.
+    """
 
     x: np.ndarray  # [n, window, channels]
     y: np.ndarray  # [n, span]
     scaler: Scaler | None = None
+    _digests: dict[str, str] = dataclasses.field(
+        default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("x", "y"):
+            array = np.array(getattr(self, name), dtype=np.float64, order="C")
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def __reduce__(self):
+        return type(self), (self.x, self.y, self.scaler)
 
     def __len__(self) -> int:
         return self.x.shape[0]
+
+    def digest(self, header: str) -> str:
+        """The first 16 hex digits of sha256 over ``header``, then ``x``,
+        then ``y``; computed once per header and memoized."""
+        if header not in self._digests:
+            sha = hashlib.sha256(header.encode())
+            sha.update(self.x)
+            sha.update(self.y)
+            self._digests[header] = sha.hexdigest()[:16]
+        return self._digests[header]
 
 
 @dataclasses.dataclass
@@ -168,10 +197,10 @@ def make_windows(table: SeriesTable, target: str, window: int, span: int,
     tgt = table.column(target)
     n = length - window - span + 1
     sw = np.lib.stride_tricks.sliding_window_view(values, window, axis=0)
-    x = sw[:n].transpose(0, 2, 1).copy()
+    x = sw[:n].transpose(0, 2, 1)
     yw = np.lib.stride_tricks.sliding_window_view(tgt, span, axis=0)
-    y = yw[window:window + n].copy()
-    return WindowedDataset(x=x, y=y, scaler=scaler)
+    y = yw[window:window + n]
+    return WindowedDataset(x=x, y=y, scaler=scaler)  # copies both views
 
 
 def split(dataset: WindowedDataset, cv_fraction: float = 0.8,

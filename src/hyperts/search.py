@@ -2,9 +2,11 @@
 resumable (optionally parallel) exhaustive search.
 
 Every evaluated configuration is appended to ``progress.ndjson`` as soon as
-it completes, stamped with a hash of the run's settings and data, so an
-interrupted search resumes without recomputation and a rerun under other
-settings is refused; the final ``results.ndjson`` keeps only
+it completes, stamped with a hash of the run's settings, split sizes and
+data, so an interrupted search resumes without recomputation and a rerun
+under other settings is refused. The read-only ``WindowedDataset`` memoizes
+the hash, so cells and reruns that share one dataset object hash its
+windows once. The final ``results.ndjson`` keeps only
 ``CANONICAL_FIELDS`` (no timing, no stamp) in canonical spec order, so
 repeated runs with the same seed are byte-identical regardless of worker
 count or completion order. The winner's artifacts are hashed into
@@ -209,19 +211,42 @@ def _eval_spec(spec: ModelSpec, dataset: WindowedDataset, plan: SplitPlan,
     }
 
 
+def _check_plan(dataset: WindowedDataset, plan: SplitPlan) -> None:
+    """Raise ``ValueError`` unless ``plan`` is the chronological layout that
+    ``data.split`` gives ``dataset``: CV indices ``0..cv_n-1``, a non-empty
+    holdout ``cv_n..n-1`` and ``np.array_split`` folds of the CV block in
+    order. Such a plan is fixed by its sizes, which is all the run stamp
+    records of it."""
+    n, cv = len(dataset), plan.cv_indices
+    cv_n, k = len(cv), len(plan.folds)
+    if not np.array_equal(cv, np.arange(cv_n)):
+        raise ValueError(f"run_search: plan.cv_indices must be 0..{cv_n - 1}")
+    if cv_n >= n or not np.array_equal(plan.holdout_indices,
+                                       np.arange(cv_n, n)):
+        raise ValueError(f"run_search: plan.holdout_indices must be"
+                         f" {cv_n}..{n - 1}, after the CV block")
+    # np.array_split's part sizes, without the split: a rerun checks the
+    # plan of every cell
+    q, r = divmod(cv_n, max(k, 1))
+    sizes = [q + 1] * r + [q] * (k - r)
+    if k < 1 or [len(fold) for fold in plan.folds] != sizes \
+            or not np.array_equal(np.concatenate(plan.folds), cv):
+        raise ValueError(f"run_search: plan.folds must be"
+                         f" np.array_split(plan.cv_indices, {k})")
+
+
 def _run_stamp(dataset: WindowedDataset, plan: SplitPlan,
                config: TrainConfig, base_seed: int) -> str:
     """Hash of all that a ledger record's scores depend on besides its spec:
     the training settings with the base seed in place of ``config.seed``
-    (which ``_fit_folds`` replaces), the split sizes and the windowed data."""
+    (which ``_fit_folds`` replaces), the split sizes (which fix a plan that
+    passes ``_check_plan``) and the windowed data. The data is hashed by
+    ``WindowedDataset.digest``, once per dataset object and settings."""
     settings = dict(dataclasses.asdict(config), seed=base_seed,
                     cv=len(plan.cv_indices),
                     folds=[len(fold) for fold in plan.folds],
                     shapes=[dataset.x.shape, dataset.y.shape])
-    digest = hashlib.sha256(spec_key(settings).encode())
-    for array in (dataset.x, dataset.y):
-        digest.update(np.ascontiguousarray(array, dtype=np.float64))
-    return digest.hexdigest()[:16]
+    return dataset.digest(spec_key(settings))
 
 
 @dataclasses.dataclass
@@ -260,16 +285,17 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
 
     ``workers`` processes score configs in parallel, each task carrying its
     spec, dataset, plan, config and seed; ``None`` means 1, and a count
-    below 1 raises ``ValueError``, as do a negative ``base_seed`` and an
-    empty ``specs``. Specs already in the ledger (keyed by ``spec_key``)
-    are skipped on resume; a ledger line torn by a kill mid-write is cut
-    off and its spec scored again, while a complete line that does not
-    parse raises. A record stamped by another run (other training
-    settings, base seed, split or data, see ``_run_stamp``), or not
-    stamped, raises ``ValueError`` naming the ledger before any file is
-    written. After scoring, the
-    best spec is retrained on the full CV block and scored on the holdout
-    block; its weights are saved alongside the ledgers, and
+    below 1 raises ``ValueError``, as do a negative ``base_seed``, an
+    empty ``specs`` and a ``plan`` other than the chronological layout of
+    ``data.split`` (see ``_check_plan``), each before any file is written.
+    Specs already in the ledger (keyed by ``spec_key``) are skipped on
+    resume; a ledger line torn by a kill mid-write is cut off and its spec
+    scored again, while a complete line that does not parse raises. A
+    record stamped by another run (other training settings, base seed,
+    split sizes or data, see ``_run_stamp``), or not stamped, raises
+    ``ValueError`` naming the ledger before any file is written. After
+    scoring, the best spec is retrained on the full CV block and scored on
+    the holdout block; its weights are saved alongside the ledgers, and
     ``BEST_STAMP_FILE``, written last, records the run stamp and a digest
     of each of ``WINNER_FILES``. A rerun whose winner is already recorded
     under this run's stamp, with all three files unchanged, reuses them
@@ -282,6 +308,7 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
         raise ValueError(f"base_seed must be >= 0, got {base_seed}")
     if not specs:
         raise ValueError("run_search: no configurations to search")
+    _check_plan(dataset, plan)
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     progress_path = out / PROGRESS_FILE

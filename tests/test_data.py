@@ -1,15 +1,18 @@
 """CSV ingestion, alignment, standardization, windowing, and splits."""
 
+import dataclasses
 import datetime
+import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import synthetic_table
-from hyperts.data import (SeriesTable, align, load_csv, load_manifest,
-                          make_windows, split, standardize)
+from hyperts.data import (SeriesTable, WindowedDataset, align, load_csv,
+                          load_manifest, make_windows, split, standardize)
 
 
 def write_csv(path, rows, header="Date,Close"):
@@ -207,6 +210,64 @@ class TestMakeWindows:
         table = tiny_table(rng.normal(size=(20, 4)))
         with pytest.raises(ValueError):
             make_windows(table, "C0", 4, 1, order=["C0", "C1", "C2", "C2"])
+
+
+class TestWindowedDataset:
+    def make_ds(self):
+        source = np.arange(48.0) / 8.0
+        return source, WindowedDataset(x=source.reshape(8, 3, 2),
+                                       y=source[:16].reshape(8, 2))
+
+    def test_arrays_are_owned_read_only_float64(self, rng):
+        ds = make_windows(tiny_table(rng.normal(size=(20, 4))), "C1",
+                          window=4, span=2)
+        for array in (ds.x, ds.y):
+            assert array.dtype == np.float64
+            assert array.flags.c_contiguous and array.flags.owndata
+            assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ds.x[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ds.y[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.x = np.zeros_like(ds.x)
+
+    def test_other_dtypes_and_layouts_are_copied_to_float64(self):
+        x = np.arange(24, dtype=np.int32).reshape(3, 4, 2).transpose(0, 2, 1)
+        ds = WindowedDataset(x=x, y=[[1], [2], [3]])
+        assert ds.x.dtype == ds.y.dtype == np.float64
+        assert ds.x.flags.c_contiguous
+        np.testing.assert_array_equal(ds.x, x)
+
+    def test_digest_is_sha256_of_header_x_then_y(self):
+        _, ds = self.make_ds()
+        want = hashlib.sha256(b"head" + ds.x.tobytes() + ds.y.tobytes())
+        assert ds.digest("head") == want.hexdigest()[:16]
+        assert ds.digest("other") != ds.digest("head")
+
+    def test_mutating_the_source_changes_neither_data_nor_digest(self):
+        source, ds = self.make_ds()
+        first = ds.digest("head")
+        source += 1.0  # the constructor was given views of this array
+        _, fresh = self.make_ds()
+        np.testing.assert_array_equal(ds.x, fresh.x)
+        np.testing.assert_array_equal(ds.y, fresh.y)
+        assert ds.digest("head") == fresh.digest("head") == first
+
+    def test_replace_starts_with_an_empty_memo(self):
+        _, ds = self.make_ds()
+        first = ds.digest("head")
+        assert dataclasses.replace(ds).digest("head") == first
+        changed = dataclasses.replace(ds, y=ds.y + 1.0)
+        assert changed.digest("head") != first
+        assert ds.digest("head") == first
+
+    def test_pickled_copy_is_read_only_with_the_same_digest(self):
+        _, ds = self.make_ds()
+        ds.digest("head")
+        copy = pickle.loads(pickle.dumps(ds))
+        assert not copy.x.flags.writeable and not copy.y.flags.writeable
+        assert copy.digest("head") == ds.digest("head")
 
 
 class TestSplit:

@@ -1,16 +1,19 @@
 """Grid enumeration, cross-validation, and the resumable search driver."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import types
 import weakref
 
 import numpy as np
 import pytest
 
+import hyperts.data as data_mod
 import hyperts.search as search_mod
 from conftest import synthetic_table
-from hyperts.data import make_windows, split
+from hyperts.data import SplitPlan, WindowedDataset, make_windows, split
 from hyperts.model import CLASS_KINDS, ModelSpec, build
 from hyperts.search import (Grid, cross_validate, enumerate_specs, fold_seeds,
                             run_search)
@@ -490,6 +493,102 @@ class TestRunSearch:
         for name in ("best_model.json", "history_best.csv"):
             assert (tmp_path / "cell" / name).read_bytes() == \
                 (tmp_path / name).read_bytes(), name
+
+
+def count_data_hashes(monkeypatch):
+    """List the header of every sha256 started by ``hyperts.data`` from
+    here on; ``WindowedDataset.digest`` is what hashes the windows."""
+    headers = []
+
+    def sha256(header):
+        headers.append(header)
+        return hashlib.sha256(header)
+
+    monkeypatch.setattr(data_mod, "hashlib",
+                        types.SimpleNamespace(sha256=sha256))
+    return headers
+
+
+class TestRunStamp:
+    def test_stamp_is_pinned(self):
+        # ledgers on disk hold these values; a new formula strands them
+        ds = WindowedDataset(x=(np.arange(144.0) / 8.0).reshape(24, 3, 2),
+                             y=(np.arange(48.0) / -4.0).reshape(24, 2))
+        plan = split(ds, cv_fraction=0.75, folds=4)
+        config = TrainConfig(epochs=3, batch_size=4, lr=0.01)
+        assert search_mod._run_stamp(ds, plan, config, 7) == \
+            "e3879542f1838a66"
+        assert search_mod._run_stamp(ds, plan, TrainConfig(), 0) == \
+            "86bc7f31cde06ddc"
+
+    def test_dataset_is_hashed_once_per_settings(self, tmp_path,
+                                                 monkeypatch):
+        headers = count_data_hashes(monkeypatch)
+        ds, plan = small_dataset()
+        assert headers == []  # windowing and splitting hash nothing
+        specs = [hyper_spec(), hyper_spec(size=2)]
+        run_search(specs, ds, plan, tmp_path / "a", config=FAST, base_seed=2)
+        assert len(headers) == 1
+        calls = count_fits(monkeypatch)
+        run_search(specs, ds, plan, tmp_path / "a", config=FAST, base_seed=2)
+        assert calls == [] and len(headers) == 1  # the rerun hashes no data
+        run_search(specs[:1], ds, plan, tmp_path / "b", config=FAST,
+                   base_seed=2)
+        assert len(headers) == 1  # another cell on the same dataset
+        run_search(specs[:1], ds, plan, tmp_path / "c", config=FAST,
+                   base_seed=3)
+        assert len(headers) == 2
+
+    @pytest.mark.parametrize("field", ["x", "y"])
+    def test_changed_data_in_a_new_dataset_object_raises(self, field,
+                                                         tmp_path):
+        ds, plan = small_dataset()
+        run_search([hyper_spec()], ds, plan, tmp_path, config=FAST)
+        before = dir_bytes(tmp_path)
+        changed = dataclasses.replace(
+            ds, **{field: getattr(ds, field) + 1e-9})
+        with pytest.raises(ValueError, match="scored under other"):
+            run_search([hyper_spec()], changed, plan, tmp_path, config=FAST)
+        assert dir_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("fault,match", [
+        ("cv_reversed_holdout_short", r"cv_indices must be 0\.\.79$"),
+        ("cv_reversed", r"cv_indices must be 0\.\.79$"),
+        ("holdout_short", r"holdout_indices must be 80\.\.99, after"),
+        ("holdout_reversed", r"holdout_indices must be 80\.\.99, after"),
+        ("holdout_empty", r"holdout_indices must be 100\.\.99, after"),
+        ("folds_reversed", r"folds must be np\.array_split\(plan\.cv_indices,"
+                           r" 10\)$"),
+        ("folds_interleaved", r"folds must be np\.array_split\("
+                              r"plan\.cv_indices, 10\)$"),
+        ("folds_resized", r"folds must be np\.array_split\("
+                          r"plan\.cv_indices, 10\)$"),
+        ("folds_empty", r"folds must be np\.array_split\(plan\.cv_indices,"
+                        r" 0\)$")])
+    def test_plan_other_than_split_raises_and_writes_nothing(
+            self, fault, match, tmp_path):
+        # all but holdout_empty, folds_resized and folds_empty get
+        # split(ds)'s stamp, so the stamp alone could not tell them apart
+        ds, plan = small_dataset()
+        cv, holdout, folds = plan.cv_indices, plan.holdout_indices, plan.folds
+        every = np.arange(len(ds))
+        other = {
+            "cv_reversed_holdout_short": (cv[::-1], holdout[:-5], folds),
+            "cv_reversed": (cv[::-1], holdout, folds),
+            "holdout_short": (cv, holdout[:-5], folds),
+            "holdout_reversed": (cv, holdout[::-1], folds),
+            "holdout_empty": (every, every[:0], np.array_split(every, 10)),
+            "folds_reversed": (cv, holdout, folds[::-1]),
+            "folds_interleaved": (cv, holdout,
+                                  [cv[k::10] for k in range(10)]),
+            "folds_resized": (cv, holdout, [cv[:9], cv[9:16], *folds[2:]]),
+            "folds_empty": (cv, holdout, []),
+        }[fault]
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=match):
+            run_search([hyper_spec()], ds, SplitPlan(*other), out,
+                       config=FAST)
+        assert not out.exists()
 
 
 class TestNonFiniteScores:
