@@ -210,10 +210,8 @@ def cmd_search(args) -> int:
         raise ValueError("--class is required unless --all is given")
     if args.klass in ("cnn", "lstm") and args.algebra is not None:
         raise ValueError(f"--algebra cannot be used with --class {args.klass}")
-    for name, count in (("max_configs", args.max_configs),
-                        ("workers", args.workers)):
-        if count is not None and count < 1:
-            raise ValueError(f"{name} must be >= 1, got {count}")
+    if args.max_configs is not None and args.max_configs < 1:
+        raise ValueError(f"max_configs must be >= 1, got {args.max_configs}")
     if args.seed < 0:
         raise ValueError(f"seed must be >= 0, got {args.seed}")
     train = {"epochs": args.epochs, "batch_size": args.batch_size,
@@ -269,7 +267,7 @@ def cmd_search(args) -> int:
                   "order": order, "seed": args.seed,
                   "grid_raw_size": grid.raw_size(), "configs": len(specs)}
         meta = _meta(args.seed, dict(common, **train),
-                     dict(train, cv_fraction=0.8, folds=len(plan.folds)))
+                     dict(train, cv_fraction=0.8, folds=plan.folds_n))
         write_json(out / CELL_FILE,
                    dict(common, label=label, target=target, meta=meta))
         print(f"{label} window={window} span={span}: best mean MAE"
@@ -336,7 +334,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--dense-units", type=int_list, default=None,
                    help="restrict the dense-units axis, e.g. 8,16")
     p.add_argument("--max-configs", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=int, default=1,
                    help="worker processes per cell (default 1)")
     p.add_argument("--all", action="store_true",
                    help="loop every window/span/class cell sequentially")

@@ -95,13 +95,37 @@ class WindowedDataset:
         return self._digests[header]
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class SplitPlan:
-    """Chronological 80/20 split plus contiguous CV folds."""
+    """Chronological split of ``n`` samples: a CV block ``0..cv_n-1`` in
+    ``folds_n`` contiguous near-equal folds, then the holdout. The sizes fix
+    every index, built afresh on each access, so no other layout fits."""
 
-    cv_indices: np.ndarray
-    holdout_indices: np.ndarray
-    folds: list[np.ndarray]
+    n: int
+    cv_n: int
+    folds_n: int
+
+    def __post_init__(self):
+        if self.folds_n < 2:
+            raise ValueError(f"folds must be >= 2, got {self.folds_n}")
+        if self.cv_n < self.folds_n:
+            raise ValueError(
+                f"cv block of {self.cv_n} samples < {self.folds_n} folds")
+        if self.cv_n >= self.n:
+            raise ValueError(f"cv block of {self.cv_n} samples leaves no"
+                             f" holdout of {self.n} samples")
+
+    @property
+    def cv_indices(self) -> np.ndarray:
+        return np.arange(self.cv_n)
+
+    @property
+    def holdout_indices(self) -> np.ndarray:
+        return np.arange(self.cv_n, self.n)
+
+    @property
+    def folds(self) -> list[np.ndarray]:
+        return np.array_split(self.cv_indices, self.folds_n)
 
 
 def load_csv(path, ticker: str) -> list[tuple[datetime.date, float]]:
@@ -207,21 +231,12 @@ def split(dataset: WindowedDataset, cv_fraction: float = 0.8,
           folds: int = 10) -> SplitPlan:
     """Chronological split at floor(cv_fraction * N), then ``folds``
     contiguous near-equal partitions (sizes differ by at most 1) of the CV
-    block."""
+    block; ``SplitPlan`` raises ``ValueError`` if a fold or the holdout
+    would be empty."""
     if not 0.0 < cv_fraction < 1.0:
         raise ValueError(f"cv_fraction must be in (0, 1), got {cv_fraction}")
-    if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
     n = len(dataset)
-    if n < folds:
-        raise ValueError(f"{n} samples < {folds} folds")
-    cv_n = int(np.floor(cv_fraction * n))
-    if cv_n < folds:
-        raise ValueError(f"cv block of {cv_n} samples < {folds} folds")
-    cv_idx = np.arange(cv_n)
-    holdout_idx = np.arange(cv_n, n)
-    return SplitPlan(cv_indices=cv_idx, holdout_indices=holdout_idx,
-                     folds=np.array_split(cv_idx, folds))
+    return SplitPlan(n, int(np.floor(cv_fraction * n)), folds)
 
 
 def check_order(order, target, where) -> None:

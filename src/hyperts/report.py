@@ -35,7 +35,7 @@ def build_report(results_dir) -> dict:
     cell (``cell.json`` plus ``best.json``) under ``results_dir``; raises
     ``ValueError`` if there is none, two share a label, window and span,
     either document lacks a field the report reads, or a cell's window or
-    span is not an integer."""
+    span or a winner's ``param_count`` is not an integer."""
     grid: dict[tuple[int, int], dict] = {}
     dirs: dict[tuple[str, int, int], pathlib.Path] = {}
     for cell_path in sorted(pathlib.Path(results_dir).glob("**/" + CELL_FILE)):
@@ -51,6 +51,7 @@ def build_report(results_dir) -> dict:
         if other != cell_path.parent:
             raise ValueError(f"{other} and {cell_path.parent} are both {label}"
                              f" cells at window {window}, span {span}")
+        _int_field(best, "param_count", best_path)  # ranks the labels
         grid.setdefault((window, span), {})[label] = {
             k: best[k] for k in BEST_FIELDS}
     if not grid:

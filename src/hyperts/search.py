@@ -29,8 +29,8 @@ import numpy as np
 
 from .algebra import AlgebraKind
 from .data import SplitPlan, WindowedDataset
-from .model import (Model, ModelSpec, build, spec_key, write_json,
-                    write_text)
+from .model import (Model, ModelSpec, build, require_keys, spec_key,
+                    write_json, write_text)
 from .train import TrainConfig, evaluate, fit, write_history_csv
 
 CELL_FILE = "cell.json"
@@ -158,20 +158,19 @@ def cross_validate(spec: ModelSpec, dataset: WindowedDataset, plan: SplitPlan,
     sizes); otherwise every fold is a group of its own. Each fold's model
     is scored on its fold, and its MAE has the same bits either way.
     """
-    if any(len(f) < 1 for f in plan.folds):
-        raise ValueError("cross_validate: every fold needs at least 1 sample")
-    train = [np.setdiff1d(plan.cv_indices, fold) for fold in plan.folds]
+    cv, folds = plan.cv_indices, plan.folds
+    train = [np.setdiff1d(cv, fold) for fold in folds]
     max_size, max_window = STACK_LIMITS[spec.kind]
     stacked = spec.size <= max_size and spec.window <= max_window
     groups: dict[int, list[int]] = {}  # by training-set size, or by fold
     for k, idx in enumerate(train):
         groups.setdefault(len(idx) if stacked else k, []).append(k)
-    maes = [0.0] * len(plan.folds)
+    maes = [0.0] * len(folds)
     for ks in groups.values():
         models, _ = _fit_folds(spec, dataset, np.stack([train[k] for k in ks]),
                                config, base_seed, ks)
         for k, model in zip(ks, models):
-            fold = plan.folds[k]
+            fold = folds[k]
             maes[k] = evaluate(model, dataset.x[fold], dataset.y[fold])
         param_count = models[0].param_count()
         # free this group's weights and caches before the next group's fit
@@ -211,39 +210,15 @@ def _eval_spec(spec: ModelSpec, dataset: WindowedDataset, plan: SplitPlan,
     }
 
 
-def _check_plan(dataset: WindowedDataset, plan: SplitPlan) -> None:
-    """Raise ``ValueError`` unless ``plan`` is the chronological layout that
-    ``data.split`` gives ``dataset``: CV indices ``0..cv_n-1``, a non-empty
-    holdout ``cv_n..n-1`` and ``np.array_split`` folds of the CV block in
-    order. Such a plan is fixed by its sizes, which is all the run stamp
-    records of it."""
-    n, cv = len(dataset), plan.cv_indices
-    cv_n, k = len(cv), len(plan.folds)
-    if not np.array_equal(cv, np.arange(cv_n)):
-        raise ValueError(f"run_search: plan.cv_indices must be 0..{cv_n - 1}")
-    if cv_n >= n or not np.array_equal(plan.holdout_indices,
-                                       np.arange(cv_n, n)):
-        raise ValueError(f"run_search: plan.holdout_indices must be"
-                         f" {cv_n}..{n - 1}, after the CV block")
-    # np.array_split's part sizes, without the split: a rerun checks the
-    # plan of every cell
-    q, r = divmod(cv_n, max(k, 1))
-    sizes = [q + 1] * r + [q] * (k - r)
-    if k < 1 or [len(fold) for fold in plan.folds] != sizes \
-            or not np.array_equal(np.concatenate(plan.folds), cv):
-        raise ValueError(f"run_search: plan.folds must be"
-                         f" np.array_split(plan.cv_indices, {k})")
-
-
 def _run_stamp(dataset: WindowedDataset, plan: SplitPlan,
                config: TrainConfig, base_seed: int) -> str:
     """Hash of all that a ledger record's scores depend on besides its spec:
     the training settings with the base seed in place of ``config.seed``
-    (which ``_fit_folds`` replaces), the split sizes (which fix a plan that
-    passes ``_check_plan``) and the windowed data. The data is hashed by
-    ``WindowedDataset.digest``, once per dataset object and settings."""
+    (which ``_fit_folds`` replaces), the split sizes and the windowed data.
+    The data is hashed by ``WindowedDataset.digest``, once per dataset
+    object and settings."""
     settings = dict(dataclasses.asdict(config), seed=base_seed,
-                    cv=len(plan.cv_indices),
+                    cv=plan.cv_n,
                     folds=[len(fold) for fold in plan.folds],
                     shapes=[dataset.x.shape, dataset.y.shape])
     return dataset.digest(spec_key(settings))
@@ -280,20 +255,21 @@ def _cached_winner(out: pathlib.Path, run: str,
 def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
                plan: SplitPlan, out_dir,
                config: TrainConfig = TrainConfig(), base_seed: int = 0,
-               workers: int | None = None) -> SearchResult:
+               workers: int = 1) -> SearchResult:
     """Evaluate every spec, checkpointing each result as it completes.
 
     ``workers`` processes score configs in parallel, each task carrying its
-    spec, dataset, plan, config and seed; ``None`` means 1, and a count
-    below 1 raises ``ValueError``, as do a negative ``base_seed``, an
-    empty ``specs`` and a ``plan`` other than the chronological layout of
-    ``data.split`` (see ``_check_plan``), each before any file is written.
+    spec, dataset, plan, config and seed. A ``workers`` below 1, a negative
+    ``base_seed``, an empty ``specs`` or a ``plan`` of another length than
+    ``dataset`` raises ``ValueError`` before any file is written.
     Specs already in the ledger (keyed by ``spec_key``) are skipped on
     resume; a ledger line torn by a kill mid-write is cut off and its spec
-    scored again, while a complete line that does not parse raises. A
-    record stamped by another run (other training settings, base seed,
-    split sizes or data, see ``_run_stamp``), or not stamped, raises
-    ``ValueError`` naming the ledger before any file is written. After
+    scored again. A record stamped by another run (other training settings,
+    base seed, split sizes or data, see ``_run_stamp``), or not stamped,
+    raises ``ValueError`` naming the ledger; a complete line that is not a
+    JSON object (a ``json.JSONDecodeError`` if it does not parse), or a
+    record without one of ``CANONICAL_FIELDS``, names the ledger and the
+    line. Neither writes a file. After
     scoring, the best spec is retrained on the full CV block and scored on
     the holdout block; its weights are saved alongside the ledgers, and
     ``BEST_STAMP_FILE``, written last, records the run stamp and a digest
@@ -301,14 +277,15 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
     under this run's stamp, with all three files unchanged, reuses them
     and fits nothing; any other state retrains and rewrites them.
     """
-    workers = 1 if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if base_seed < 0:
         raise ValueError(f"base_seed must be >= 0, got {base_seed}")
     if not specs:
         raise ValueError("run_search: no configurations to search")
-    _check_plan(dataset, plan)
+    if plan.n != len(dataset):
+        raise ValueError(f"run_search: plan splits {plan.n} samples, the"
+                         f" dataset holds {len(dataset)}")
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     progress_path = out / PROGRESS_FILE
@@ -318,15 +295,23 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
     ledger_bytes = progress_path.read_bytes() if progress_path.exists() \
         else b""
     intact = ledger_bytes[:ledger_bytes.rfind(b"\n") + 1]
-    for line in intact.splitlines():
-        if line.strip():
+    for lineno, line in enumerate(intact.splitlines(), start=1):
+        if not line.strip():
+            continue
+        where = f"{progress_path} line {lineno}"
+        try:
             # an older ledger's bare NaN reads back as null
             record = json.loads(line, parse_constant=lambda _: None)
-            if record.get("run") != run:
-                raise ValueError(
-                    f"{progress_path}: scored under other training settings,"
-                    f" seed, split or data; search into a new directory")
-            done.setdefault(spec_key(record["spec"]), record)
+        except json.JSONDecodeError as exc:
+            raise json.JSONDecodeError(f"{where}: {exc.msg}", exc.doc,
+                                       exc.pos) from None
+        require_keys(record, (), where)
+        if record.get("run") != run:
+            raise ValueError(
+                f"{progress_path}: scored under other training settings,"
+                f" seed, split or data; search into a new directory")
+        require_keys(record, CANONICAL_FIELDS, where)
+        done.setdefault(spec_key(record["spec"]), record)
 
     wanted = {spec.canonical(): spec for spec in specs}
     todo = [spec for key, spec in wanted.items() if key not in done]
@@ -361,9 +346,9 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
         return cached
     spec = ModelSpec.from_json_dict(best["spec"])
     (model,), (history,) = _fit_folds(spec, dataset, plan.cv_indices[None],
-                                      config, base_seed, [len(plan.folds)])
-    holdout_mae = evaluate(model, dataset.x[plan.holdout_indices],
-                           dataset.y[plan.holdout_indices])
+                                      config, base_seed, [plan.folds_n])
+    holdout = plan.holdout_indices
+    holdout_mae = evaluate(model, dataset.x[holdout], dataset.y[holdout])
     model.save(out / BEST_MODEL_FILE)
     write_history_csv(history, out / BEST_HISTORY_FILE,
                       header_lines=[f"spec: {spec.canonical()}"])

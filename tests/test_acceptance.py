@@ -242,7 +242,7 @@ def desk_dataset():
     return ds, split(ds, cv_fraction=0.8, folds=10)
 
 
-def run_desk_cells(out_root, workers=None):
+def run_desk_cells(out_root, workers=1):
     ds, plan = desk_dataset()
     results = {}
     for kind, grid in DESK_GRIDS.items():

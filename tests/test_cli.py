@@ -275,6 +275,28 @@ class TestSearch:
             f"error: {out / 'progress.ndjson'}: scored under other")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("damage,message", [
+        ("not_json", "Expecting value"), ("list", "not a JSON object"),
+        ("no_spec", "no spec in the document")])
+    def test_damaged_ledger_line_exits_1_naming_ledger_and_line(
+            self, ingested, tmp_path, damage, message, capsys):
+        out = tmp_path / "cell"
+        argv = ["search", "--class", "h", "--data", ingested, "--out", out]
+        assert run(argv + SMOKE) == 0
+        ledger = out / "progress.ndjson"
+        lines = ledger.read_text().splitlines()
+        record = json.loads(lines[-1])  # stamped by this run
+        del record["spec"]
+        line = {"not_json": '{"spec": ', "list": "[1, 2]",
+                "no_spec": json.dumps(record)}[damage]
+        ledger.write_text("\n".join(lines + [line]) + "\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert run(argv + SMOKE) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {ledger} line {len(lines) + 1}: {message}")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_reordered_input_labeled_hr(self, ingested, tmp_path):
         out = tmp_path / "cell"
         assert run(["search", "--class", "h", "--data", ingested,
@@ -587,6 +609,24 @@ class TestReport:
         assert not out.exists()
         assert (f"error: {d / 'cell.json'}: {key} {value!r} is not an"
                 f" integer" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", ["12", 12.0, True, None])
+    def test_param_count_that_is_not_an_integer_names_best_json(
+            self, value, tmp_path, capsys):
+        res = tmp_path / "results"
+        for label, params in (("H", value), ("CNN", 400)):
+            d = res / f"{label}_w10_s1"
+            d.mkdir(parents=True)
+            (d / "cell.json").write_text(json.dumps(
+                {"label": label, "window": 10, "span": 1}))
+            (d / "best.json").write_text(json.dumps(
+                {"spec": {"test_layer": "x:1"}, "mean_mae": 0.1,
+                 "holdout_mae": 0.2, "param_count": params}))
+        out = tmp_path / "grid.csv"
+        assert run(["report", "--in", res, "--out", out]) == 1
+        assert not out.exists()
+        assert (f"error: {res / 'H_w10_s1' / 'best.json'}: param_count"
+                f" {value!r} is not an integer" in capsys.readouterr().err)
 
     def test_unparseable_best_document_names_it(self, tmp_path, capsys):
         d = tmp_path / "results" / "H_w10_s1"

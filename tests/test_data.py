@@ -11,8 +11,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import synthetic_table
-from hyperts.data import (SeriesTable, WindowedDataset, align, load_csv,
-                          load_manifest, make_windows, split, standardize)
+from hyperts.data import (SeriesTable, SplitPlan, WindowedDataset, align,
+                          load_csv, load_manifest, make_windows, split,
+                          standardize)
 
 
 def write_csv(path, rows, header="Date,Close"):
@@ -315,6 +316,46 @@ class TestSplit:
             split(self.make_ds(100), cv_fraction=1.0)
         with pytest.raises(ValueError):
             split(self.make_ds(100), cv_fraction=0.0)
+
+    @pytest.mark.parametrize("n,cv_n,folds_n,match", [
+        (100, 80, 1, "folds must be >= 2, got 1"),
+        (100, 80, 0, "folds must be >= 2, got 0"),
+        (100, 9, 10, "cv block of 9 samples < 10 folds"),
+        (8, 7, 10, "cv block of 7 samples < 10 folds"),
+        (100, 100, 10, "cv block of 100 samples leaves no holdout of 100"),
+        (100, 120, 10, "cv block of 120 samples leaves no holdout of 100")])
+    def test_plan_outside_the_chronological_layout_rejected(
+            self, n, cv_n, folds_n, match):
+        with pytest.raises(ValueError, match=match):
+            SplitPlan(n, cv_n, folds_n)
+
+    @pytest.mark.parametrize("n", [100, 101, 95])
+    def test_indices_are_the_arrays_split_held(self, n):
+        # split once built these three arrays and stored them in the plan
+        plan = split(self.make_ds(n))
+        cv_n = int(np.floor(0.8 * n))
+        assert (plan.n, plan.cv_n, plan.folds_n) == (n, cv_n, 10)
+        int_dtype = np.arange(1).dtype
+        cv = np.arange(cv_n)
+        want = [(plan.cv_indices, cv),
+                (plan.holdout_indices, np.arange(cv_n, n)),
+                *zip(plan.folds, np.array_split(cv, 10))]
+        assert len(want) == 12
+        for got, expected in want:
+            assert got.dtype == int_dtype
+            np.testing.assert_array_equal(got, expected)
+
+    def test_index_arrays_are_fresh_on_each_access(self):
+        plan = split(self.make_ds(100))
+        plan.cv_indices[:] = 0
+        plan.holdout_indices[:] = 0
+        plan.folds[0][:] = 7
+        np.testing.assert_array_equal(plan.cv_indices, np.arange(80))
+        np.testing.assert_array_equal(plan.holdout_indices,
+                                      np.arange(80, 100))
+        np.testing.assert_array_equal(plan.folds[0], np.arange(8))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.cv_n = 70
 
 
 class TestWindowAndSplitProperties:
