@@ -212,14 +212,12 @@ def cmd_search(args) -> int:
         raise ValueError(f"--algebra cannot be used with --class {args.klass}")
     if args.max_configs is not None and args.max_configs < 1:
         raise ValueError(f"max_configs must be >= 1, got {args.max_configs}")
-    if args.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {args.seed}")
     train = {"epochs": args.epochs, "batch_size": args.batch_size,
              "lr": args.lr}
     config = TrainConfig(**train)
     algebras = None if args.algebra in (None, "all") else [args.algebra]
 
-    table, scaler, target = load_dataset(args.data)
+    table, _, target = load_dataset(args.data)
     default_order = table.order
     if args.all:
         windows = DEFAULT_WINDOWS if args.windows is None else args.windows
@@ -236,36 +234,37 @@ def cmd_search(args) -> int:
         span = DEFAULT_SPAN if args.span is None else args.span
         cells = [(kind, window, span, order)]
 
-    @functools.lru_cache(maxsize=1)  # CNN, LSTM and H cells share windows
-    def cut(window, span, order):
-        dataset = make_windows(table, target, window, span, list(order), scaler)
-        return dataset, split(dataset, cv_fraction=0.8)
-
-    def prepare(kind, window, span, order):
-        dataset, plan = cut(window, span, tuple(order))
+    grids = {}
+    for kind in dict.fromkeys(cell[0] for cell in cells):
         grid = Grid.default(kind, algebras=algebras)
-        grid = dataclasses.replace(
+        grids[kind] = dataclasses.replace(
             grid, sizes=_restrict(grid.sizes, args.sizes),
             dense_units=_restrict(grid.dense_units, args.dense_units))
-        specs = enumerate_specs(grid, window, span, args.seed,
-                                limit=args.max_configs)
-        return dataset, plan, grid, specs
 
-    for cell in cells:  # every cell is checked before a search writes
-        prepare(*cell)
-    for kind, window, span, order in cells:
-        dataset, plan, grid, specs = prepare(kind, window, span, order)
+    # CNN, LSTM and H cells share windows; holding every set of the default
+    # grid at once would take 26, 66 and 134 MiB at 808, 2,000 and 4,000 rows
+    @functools.lru_cache(maxsize=1)
+    def cut(window, span, order):
+        return make_windows(table, target, window, span, list(order))
+    # planning checks every cell before a search writes
+    plans = [(kind, window, span, order,
+              split(cut(window, span, tuple(order)), cv_fraction=0.8),
+              enumerate_specs(grids[kind], window, span, args.seed,
+                              limit=args.max_configs))
+             for kind, window, span, order in cells]
+    for kind, window, span, order, plan, specs in plans:
         label = _class_label(kind, order, default_order)
         out = pathlib.Path(args.out)
         if args.all:
             out = out / f"{label}_w{window}_s{span}"
 
-        result = run_search(specs, dataset, plan, out, config=config,
-                            base_seed=args.seed, workers=args.workers)
+        result = run_search(specs, cut(window, span, tuple(order)), plan, out,
+                            config=config, base_seed=args.seed,
+                            workers=args.workers)
         # written after the search, so that a refused rerun changes no file
         common = {"class": kind, "window": window, "span": span,
-                  "order": order, "seed": args.seed,
-                  "grid_raw_size": grid.raw_size(), "configs": len(specs)}
+                  "order": order, "seed": args.seed, "configs": len(specs),
+                  "grid_raw_size": grids[kind].raw_size()}
         meta = _meta(args.seed, dict(common, **train),
                      dict(train, cv_fraction=0.8, folds=plan.folds_n))
         write_json(out / CELL_FILE,

@@ -56,6 +56,16 @@ def require_keys(doc, keys, where) -> None:
         raise ValueError(f"{where}: no {' or '.join(missing)} in the document")
 
 
+def typed_field(doc, key, kinds, what: str, where):
+    """``doc[key]`` if it is an instance of ``kinds`` other than a bool (JSON
+    true and false are no numbers); otherwise raises ``ValueError`` naming
+    ``where``, ``key`` and the value, which is not ``what``."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{where}: {key} {value!r} is not {what}")
+    return value
+
+
 def read_json(path, keys) -> dict:
     """The JSON object in the file at ``path``; raises ``ValueError`` naming
     ``path`` if the file does not parse, holds no object, or lacks ``keys``."""

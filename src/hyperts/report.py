@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pathlib
 
-from .model import read_json, write_csv
+from .model import read_json, typed_field, write_csv
 from .search import BEST_FILE, CELL_FILE
 
 CANONICAL_LABELS = ["CNN", "LSTM", "H", "HR"]
@@ -23,19 +23,13 @@ def _label_order(labels) -> list[str]:
     return known + extra
 
 
-def _int_field(doc: dict, key: str, path) -> int:
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{path}: {key} {value!r} is not an integer")
-    return value
-
-
 def build_report(results_dir) -> dict:
     """Window x span grid of each label's best, read from every completed
     cell (``cell.json`` plus ``best.json``) under ``results_dir``; raises
     ``ValueError`` if there is none, two share a label, window and span,
-    either document lacks a field the report reads, or a cell's window or
-    span or a winner's ``param_count`` is not an integer."""
+    either document lacks a field the report reads, a cell's label is not
+    a string, its window or span or a winner's ``param_count`` is not an
+    integer, or a winner's ``mean_mae`` or ``holdout_mae`` is not a number."""
     grid: dict[tuple[int, int], dict] = {}
     dirs: dict[tuple[str, int, int], pathlib.Path] = {}
     for cell_path in sorted(pathlib.Path(results_dir).glob("**/" + CELL_FILE)):
@@ -44,14 +38,17 @@ def build_report(results_dir) -> dict:
             continue
         cell = read_json(cell_path, ("label", "window", "span"))
         best = read_json(best_path, BEST_FIELDS)
-        label = cell["label"]
-        window, span = (_int_field(cell, key, cell_path)
+        label = typed_field(cell, "label", str, "a string", cell_path)
+        window, span = (typed_field(cell, key, int, "an integer", cell_path)
                         for key in ("window", "span"))
+        for key in ("mean_mae", "holdout_mae"):
+            typed_field(best, key, (int, float), "a number", best_path)
+        # the parameter count ranks the labels
+        typed_field(best, "param_count", int, "an integer", best_path)
         other = dirs.setdefault((label, window, span), cell_path.parent)
         if other != cell_path.parent:
             raise ValueError(f"{other} and {cell_path.parent} are both {label}"
                              f" cells at window {window}, span {span}")
-        _int_field(best, "param_count", best_path)  # ranks the labels
         grid.setdefault((window, span), {})[label] = {
             k: best[k] for k in BEST_FIELDS}
     if not grid:

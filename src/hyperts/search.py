@@ -29,8 +29,8 @@ import numpy as np
 
 from .algebra import AlgebraKind
 from .data import SplitPlan, WindowedDataset
-from .model import (Model, ModelSpec, build, require_keys, spec_key,
-                    write_json, write_text)
+from .model import (INPUT_CHANNELS, Model, ModelSpec, build, require_keys,
+                    spec_key, typed_field, write_json, write_text)
 from .train import TrainConfig, evaluate, fit, write_history_csv
 
 CELL_FILE = "cell.json"
@@ -260,16 +260,19 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
 
     ``workers`` processes score configs in parallel, each task carrying its
     spec, dataset, plan, config and seed. A ``workers`` below 1, a negative
-    ``base_seed``, an empty ``specs`` or a ``plan`` of another length than
-    ``dataset`` raises ``ValueError`` before any file is written.
+    ``base_seed``, an empty ``specs``, a ``plan`` of another length than
+    ``dataset`` or a ``dataset`` without ``INPUT_CHANNELS`` channels raises
+    ``ValueError`` before any file is written.
     Specs already in the ledger (keyed by ``spec_key``) are skipped on
     resume; a ledger line torn by a kill mid-write is cut off and its spec
     scored again. A record stamped by another run (other training settings,
     base seed, split sizes or data, see ``_run_stamp``), or not stamped,
-    raises ``ValueError`` naming the ledger; a complete line that is not a
-    JSON object (a ``json.JSONDecodeError`` if it does not parse), or a
-    record without one of ``CANONICAL_FIELDS``, names the ledger and the
-    line. Neither writes a file. After
+    raises ``ValueError`` naming the ledger; a complete line that is not
+    UTF-8 or not a JSON object (a ``json.JSONDecodeError`` if it does not
+    parse), or a record without one of ``CANONICAL_FIELDS`` or with one of
+    another type (``spec`` an object, ``fold_maes`` a list of numbers or
+    nulls, ``mean_mae`` a number or null, ``param_count`` an integer), names
+    the ledger and the line. Neither writes a file. After
     scoring, the best spec is retrained on the full CV block and scored on
     the holdout block; its weights are saved alongside the ledgers, and
     ``BEST_STAMP_FILE``, written last, records the run stamp and a digest
@@ -286,6 +289,10 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
     if plan.n != len(dataset):
         raise ValueError(f"run_search: plan splits {plan.n} samples, the"
                          f" dataset holds {len(dataset)}")
+    if dataset.x.shape[-1] != INPUT_CHANNELS:
+        raise ValueError(f"run_search: the dataset has {dataset.x.shape[-1]}"
+                         f" channels, the models take INPUT_CHANNELS ="
+                         f" {INPUT_CHANNELS}")
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     progress_path = out / PROGRESS_FILE
@@ -300,8 +307,12 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
             continue
         where = f"{progress_path} line {lineno}"
         try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        try:
             # an older ledger's bare NaN reads back as null
-            record = json.loads(line, parse_constant=lambda _: None)
+            record = json.loads(text, parse_constant=lambda _: None)
         except json.JSONDecodeError as exc:
             raise json.JSONDecodeError(f"{where}: {exc.msg}", exc.doc,
                                        exc.pos) from None
@@ -311,6 +322,13 @@ def run_search(specs: list[ModelSpec], dataset: WindowedDataset,
                 f"{progress_path}: scored under other training settings,"
                 f" seed, split or data; search into a new directory")
         require_keys(record, CANONICAL_FIELDS, where)
+        typed_field(record, "spec", dict, "an object", where)
+        number = (int, float, type(None))  # null: a non-finite score
+        for mae in typed_field(record, "fold_maes", list, "a list", where):
+            typed_field({"fold_maes": mae}, "fold_maes", number,
+                        "a number or null", where)
+        typed_field(record, "mean_mae", number, "a number or null", where)
+        typed_field(record, "param_count", int, "an integer", where)
         done.setdefault(spec_key(record["spec"]), record)
 
     wanted = {spec.canonical(): spec for spec in specs}

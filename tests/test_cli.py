@@ -277,19 +277,37 @@ class TestSearch:
 
     @pytest.mark.parametrize("damage,message", [
         ("not_json", "Expecting value"), ("list", "not a JSON object"),
-        ("no_spec", "no spec in the document")])
+        ("no_spec", "no spec in the document"),
+        ("not_utf8", "'utf-8' codec can't decode byte 0xff"),
+        ("spec", "spec 'x' is not an object"),
+        ("fold_maes", "fold_maes 3 is not a list"),
+        ("fold_mae", "fold_maes '0.5' is not a number or null"),
+        ("mean_mae", "mean_mae '0.5' is not a number or null"),
+        ("param_count", "param_count 12.5 is not an integer"),
+        ("bool_param_count", "param_count True is not an integer")])
     def test_damaged_ledger_line_exits_1_naming_ledger_and_line(
             self, ingested, tmp_path, damage, message, capsys):
         out = tmp_path / "cell"
         argv = ["search", "--class", "h", "--data", ingested, "--out", out]
         assert run(argv + SMOKE) == 0
         ledger = out / "progress.ndjson"
-        lines = ledger.read_text().splitlines()
+        lines = ledger.read_bytes().splitlines()
         record = json.loads(lines[-1])  # stamped by this run
-        del record["spec"]
-        line = {"not_json": '{"spec": ', "list": "[1, 2]",
-                "no_spec": json.dumps(record)}[damage]
-        ledger.write_text("\n".join(lines + [line]) + "\n")
+
+        def changed(**fields):
+            return json.dumps(dict(record, **fields)).encode()
+
+        line = {"not_json": b'{"spec": ', "list": b"[1, 2]",
+                "no_spec": json.dumps(
+                    {k: v for k, v in record.items() if k != "spec"}).encode(),
+                "not_utf8": b'{"spec": "\xff"}',
+                "spec": changed(spec="x"),
+                "fold_maes": changed(fold_maes=3),
+                "fold_mae": changed(fold_maes=[0.5, "0.5"]),
+                "mean_mae": changed(mean_mae="0.5"),
+                "param_count": changed(param_count=12.5),
+                "bool_param_count": changed(param_count=True)}[damage]
+        ledger.write_bytes(b"\n".join(lines + [line]) + b"\n")
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
         assert run(argv + SMOKE) == 1
@@ -357,6 +375,29 @@ class TestSearch:
                    + cells) == 0
         assert len(calls) == 1
 
+    def test_all_plans_each_cell_once(self, ingested, tmp_path, monkeypatch):
+        calls = {"Grid.default": 0, "enumerate_specs": 0, "make_windows": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli.Grid, "default", classmethod(
+            counting("Grid.default", cli.Grid.default.__func__)))
+        for name in ("enumerate_specs", "make_windows"):
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        assert run(["search", "--all", "--data", ingested,
+                    "--out", tmp_path / "matrix", "--windows", "10,20",
+                    "--spans", "1,2", "--sizes", "8,1", "--epochs", 1,
+                    "--max-configs", 1]) == 0
+        # one restricted grid per class and one spec list per cell; the
+        # search pass builds each cell's windows again, so that one set of
+        # windows is alive at a time
+        assert calls == {"Grid.default": 3, "enumerate_specs": 16,
+                         "make_windows": 16}
+
     @pytest.mark.parametrize("flags", [
         ["--all", "--class", "cnn"],
         ["--all", "--order", "T1,T2,T3,T0"],
@@ -392,12 +433,17 @@ class TestSearch:
         assert "workers must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cells", [
+        ["--class", "h"] + SMOKE,
+        ["--all", "--windows", "10,20", "--spans", "1", "--epochs", 1,
+         "--max-configs", 1],
+    ], ids=["one-cell", "all"])
     @pytest.mark.parametrize("seed", [-1, -5])
     def test_negative_seed_exits_1_before_writing(self, ingested, tmp_path,
-                                                  seed, capsys):
+                                                  seed, cells, capsys):
         out = tmp_path / "cell"
-        assert run(["search", "--class", "h", "--data", ingested,
-                    "--out", out] + SMOKE + ["--seed", seed]) == 1
+        assert run(["search", "--data", ingested, "--out", out] + cells
+                   + ["--seed", seed]) == 1
         assert f"seed must be >= 0, got {seed}" in capsys.readouterr().err
         assert not out.exists()
 
@@ -512,6 +558,22 @@ class TestSearch:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("klass", ["h", "cnn"])
+    def test_dataset_of_three_tickers_exits_1_before_writing(
+            self, tmp_path, klass, capsys):
+        table = synthetic_table(n=120, order=["T0", "T1", "T2"])
+        table.values = table.values[:, :3]
+        data_dir = tmp_path / "data"
+        assert run(["ingest", "--manifest", write_ticker_csvs(tmp_path, table),
+                    "--out", data_dir]) == 0
+        out = tmp_path / "cell"
+        assert run(["search", "--class", klass, "--data", data_dir,
+                    "--out", out, "--sizes", "2,8", "--max-configs", 1,
+                    "--epochs", 1]) == 1
+        assert ("the dataset has 3 channels, the models take INPUT_CHANNELS"
+                " = 4" in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestReport:
     def run_two_cells(self, ingested, tmp_path):
@@ -592,10 +654,13 @@ class TestReport:
         err = capsys.readouterr().err
         assert f"error: {d / 'cell.json'}: no {key} in the document" in err
 
-    @pytest.mark.parametrize("value", ["ten", 10.5])
-    @pytest.mark.parametrize("key", ["window", "span"])
+    @pytest.mark.parametrize("key,value,what", [
+        ("window", "ten", "an integer"), ("window", 10.5, "an integer"),
+        ("span", "ten", "an integer"), ("span", 10.5, "an integer"),
+        ("label", 5, "a string"), ("label", ["H"], "a string")])
     def test_cell_field_that_is_not_an_integer_names_it(self, key, value,
-                                                        tmp_path, capsys):
+                                                        what, tmp_path,
+                                                        capsys):
         d = tmp_path / "results" / "H_w10_s1"
         d.mkdir(parents=True)
         (d / "cell.json").write_text(json.dumps(
@@ -607,26 +672,32 @@ class TestReport:
         assert run(["report", "--in", tmp_path / "results", "--out",
                     out]) == 1
         assert not out.exists()
-        assert (f"error: {d / 'cell.json'}: {key} {value!r} is not an"
-                f" integer" in capsys.readouterr().err)
+        assert (f"error: {d / 'cell.json'}: {key} {value!r} is not {what}"
+                in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("value", ["12", 12.0, True, None])
+    @pytest.mark.parametrize("key,value,what", [
+        ("param_count", "12", "an integer"),
+        ("param_count", 12.0, "an integer"),
+        ("param_count", True, "an integer"),
+        ("param_count", None, "an integer"),
+        ("mean_mae", "abc", "a number"), ("mean_mae", True, "a number"),
+        ("holdout_mae", None, "a number"), ("holdout_mae", "0.2", "a number")])
     def test_param_count_that_is_not_an_integer_names_best_json(
-            self, value, tmp_path, capsys):
+            self, key, value, what, tmp_path, capsys):
         res = tmp_path / "results"
-        for label, params in (("H", value), ("CNN", 400)):
+        for label, fields in (("H", {key: value}), ("CNN", {})):
             d = res / f"{label}_w10_s1"
             d.mkdir(parents=True)
             (d / "cell.json").write_text(json.dumps(
                 {"label": label, "window": 10, "span": 1}))
-            (d / "best.json").write_text(json.dumps(
+            (d / "best.json").write_text(json.dumps(dict(
                 {"spec": {"test_layer": "x:1"}, "mean_mae": 0.1,
-                 "holdout_mae": 0.2, "param_count": params}))
+                 "holdout_mae": 0.2, "param_count": 400}, **fields)))
         out = tmp_path / "grid.csv"
         assert run(["report", "--in", res, "--out", out]) == 1
         assert not out.exists()
-        assert (f"error: {res / 'H_w10_s1' / 'best.json'}: param_count"
-                f" {value!r} is not an integer" in capsys.readouterr().err)
+        assert (f"error: {res / 'H_w10_s1' / 'best.json'}: {key}"
+                f" {value!r} is not {what}" in capsys.readouterr().err)
 
     def test_unparseable_best_document_names_it(self, tmp_path, capsys):
         d = tmp_path / "results" / "H_w10_s1"

@@ -586,6 +586,18 @@ class TestRunStamp:
                        config=FAST)
         assert not out.exists()
 
+    def test_dataset_of_three_channels_raises_and_writes_nothing(
+            self, tmp_path):
+        table = synthetic_table(n=110)
+        three = dataclasses.replace(table, order=table.order[:3],
+                                    values=table.values[:, :3])
+        ds = make_windows(three, "T0", window=10, span=1)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="the dataset has 3 channels,"
+                           " the models take INPUT_CHANNELS = 4"):
+            run_search([hyper_spec()], ds, split(ds), out, config=FAST)
+        assert not out.exists()
+
 
 class TestNonFiniteScores:
     """A diverged config's scores are ``null`` in both ledgers, never a bare
